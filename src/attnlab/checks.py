@@ -198,7 +198,7 @@ def gradcheck_graph2doc(instances: int = 100, seed: int = 8, eps: float = 1e-5) 
             mix = r.normal((d + w, d))
             weights = r.normal((l, d))
             out, cache = graph2doc(C, nodes, asg, mix)
-            if not _clear_of_kinks(cache[1][0]):  # mixer preactivations
+            if not _clear_of_kinks(cache.pre[0]):
                 return None
             dC, d_nodes, d_mix = graph2doc_backward(cache, weights)
             analytic = _pack([dC, d_nodes, d_mix])
@@ -252,9 +252,9 @@ def gradcheck_fusion(
             out, _, cache = fusion_block_forward(C0, graph, asg, params, hops)
             hop_caches = cache[0]
             for pool_c, att_c, unpool_c in hop_caches:
-                if not _clear_of_kinks(att_c.pre[0], att_c.agg[0], unpool_c[1][0]):
+                if not _clear_of_kinks(att_c.pre[0], att_c.agg[0], unpool_c.pre[0]):
                     return None
-                if not _pool_tie_free(pool_c[0], spans):
+                if not _pool_tie_free(pool_c.C, spans):
                     return None
             dC0, grads = fusion_block_backward(cache, weights)
             analytic = _pack([dC0, grads["proj"], grads["attn_vec"], grads["mix"]])

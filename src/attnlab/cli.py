@@ -1,11 +1,13 @@
 """Command line entry point.
 
 Subcommands: build-graph, density-report, equivalence-check, gradcheck,
-gen-synthetic, train, eval-density, probe-heads. Each reads an optional
-flat key=value config file, applies ``--set key=value`` overrides, and
-writes JSON/CSV artifacts into the output directory (``--out``, falling
-back to the ATTNLAB_OUT environment variable, then ./attnlab_out).
-Checking subcommands exit nonzero when their tolerance is violated.
+gen-synthetic, train, eval-density, probe-heads. Each writes JSON/CSV
+artifacts into the output directory (``--out``, falling back to the
+ATTNLAB_OUT environment variable, then ./attnlab_out). gen-synthetic and
+train also read an optional flat key=value config file and ``--set
+key=value`` overrides; a key that none of the command's configs takes is
+an error. Checking subcommands exit nonzero when their tolerance is
+violated.
 """
 
 from __future__ import annotations
@@ -65,6 +67,31 @@ def _config_values(args) -> dict:
         key, val = parse_override(item)
         values[key] = val
     return values
+
+
+def _build_configs(args, *classes) -> list:
+    """One instance of each config dataclass, from --config and --set."""
+    values = _config_values(args)
+    used: set[str] = set()
+    built = [build_dataclass(cls, values, used) for cls in classes]
+    unknown = sorted(set(values) - used)
+    if unknown:
+        raise ValidationError(
+            f"{args.command}: unknown config key(s) {', '.join(unknown)} "
+            f"(not a field of {' or '.join(cls.__name__ for cls in classes)})"
+        )
+    return built
+
+
+def _labels_for(examples, labels_path) -> list[int]:
+    by_id = load_labels_jsonl(labels_path)
+    missing = [ex.id for ex in examples if ex.id not in by_id]
+    if missing:
+        raise ValidationError(
+            f"{labels_path}: no label for dataset id {missing[0]!r} "
+            f"({len(missing)} of {len(examples)} ids missing)"
+        )
+    return [by_id[ex.id] for ex in examples]
 
 
 def _quantiles(args) -> tuple[float, ...]:
@@ -139,8 +166,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    (cfg,) = _build_configs(args, SyntheticTaskConfig)
     out = _out_dir(args)
-    cfg = build_dataclass(SyntheticTaskConfig, _config_values(args))
     examples, labels = generate_synthetic(cfg)
     data_path = out / f"dataset_seed{cfg.seed}.jsonl"
     labels_path = out / f"labels_seed{cfg.seed}.jsonl"
@@ -150,23 +177,17 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _load_or_generate(args, values: dict):
+def cmd_train(args) -> int:
     if args.dataset:
-        examples = load_context_examples(args.dataset)
+        (cfg,) = _build_configs(args, ExperimentConfig)
         if not args.labels:
             raise ValidationError("--labels is required with --dataset")
-        by_id = load_labels_jsonl(args.labels)
-        labels = [by_id[ex.id] for ex in examples]
-        return examples, labels
-    cfg = build_dataclass(SyntheticTaskConfig, values)
-    return generate_synthetic(cfg)
-
-
-def cmd_train(args) -> int:
+        examples = load_context_examples(args.dataset)
+        labels = _labels_for(examples, args.labels)
+    else:
+        cfg, task = _build_configs(args, ExperimentConfig, SyntheticTaskConfig)
+        examples, labels = generate_synthetic(task)
     out = _out_dir(args)
-    values = _config_values(args)
-    cfg = build_dataclass(ExperimentConfig, values)
-    examples, labels = _load_or_generate(args, values)
     data = prepare_task_data(examples, labels, n_test=args.test_count)
     model, report = train(cfg, data, quantiles=_quantiles(args))
     stem = f"{cfg.variant}_seed{cfg.seed}"
@@ -191,8 +212,7 @@ def cmd_eval_density(args) -> int:
     out = _out_dir(args)
     model = TrainedModel.load(args.model)
     examples = load_context_examples(args.dataset)
-    by_id = load_labels_jsonl(args.labels)
-    labels = [by_id[ex.id] for ex in examples]
+    labels = _labels_for(examples, args.labels)
     data = model.prepare(examples, labels)
     bins, accuracy = density_bins(model, data, np.arange(data.n), _quantiles(args))
     doc = {"variant": model.cfg.variant, "accuracy": accuracy, "bins": bins}
@@ -222,6 +242,9 @@ def cmd_probe_heads(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="artifact directory (default: $ATTNLAB_OUT or ./attnlab_out)")
+
+
+def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
 
@@ -260,10 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate the synthetic two-hop dataset")
     _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("train", help="train one variant and report metrics")
     _add_common(p)
+    _add_config(p)
     p.add_argument("--dataset", help="ContextExample JSONL (default: generate synthetically)")
     p.add_argument("--labels", help="answer-node JSONL matching --dataset")
     p.add_argument("--test-count", type=int, default=1000)

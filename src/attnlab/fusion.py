@@ -9,6 +9,18 @@ its current representation, and passes through a learned ReLU mixing
 layer. Tokens outside every entity span therefore still flow through the
 mixer, just with a zero node summary.
 
+The max half of the pooling routes its gradient to the first maximizer:
+when several rows of a span tie for a dimension's max, the earliest row
+gets the whole gradient, as ``argmax`` would pick it.
+
+The mixer never builds the concatenation. With ``mix = [M_c; M_n]`` split
+at the token width d, ``[C, A @ nodes] @ mix = C @ M_c + A @ (nodes @ M_n)``
+where A is the (L, N) averaging matrix, so the node half is multiplied at
+node width N instead of token width L. The backward mirrors it: with
+``d_nm = A.T @ d_pre``, ``d_mix = [C.T @ d_pre; nodes.T @ d_nm]``. This sums
+in another order than the concatenated GEMM, so results differ from it in
+the last bits only.
+
 Everything is batched over a leading axis like the attention module;
 batched calls require the span layout to be shared across the batch.
 """
@@ -23,6 +35,8 @@ import numpy as np
 from .attention import (
     GraphAttentionCache,
     GraphAttentionParams,
+    _flat_mm,
+    _outer_grad,
     graph_attention_batch_backward,
     graph_attention_batch_forward,
 )
@@ -67,6 +81,13 @@ class SpanAssignment:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class PoolCache:
+    C: np.ndarray  # (B, L, d) pooled tokens
+    nodes: np.ndarray  # (B, N, 2d) output; its max half picks each span's winners
+    assignment: SpanAssignment
+
+
 def pool_batch_forward(C: np.ndarray, assignment: SpanAssignment):
     """(B, L, d) tokens -> (B, N, 2d) mean-max node states."""
     if C.ndim != 3:
@@ -74,31 +95,26 @@ def pool_batch_forward(C: np.ndarray, assignment: SpanAssignment):
     if C.shape[1] != assignment.num_tokens:
         raise ShapeError(f"token count {C.shape[1]} != assignment {assignment.num_tokens}")
     b, _, d = C.shape
-    n = assignment.num_entities
-    out = np.empty((b, n, 2 * d))
-    argmaxes = []
+    out = np.empty((b, assignment.num_entities, 2 * d))
     for i, (s, e) in enumerate(assignment.spans):
         block = C[:, s:e, :]
         out[:, i, :d] = block.mean(axis=1)
-        idx = block.argmax(axis=1)  # first maximizer on ties
-        out[:, i, d:] = np.take_along_axis(block, idx[:, None, :], axis=1)[:, 0, :]
-        argmaxes.append(idx)
-    return out, (C, assignment, argmaxes)
+        out[:, i, d:] = block.max(axis=1)
+    return out, PoolCache(C=C, nodes=out, assignment=assignment)
 
 
-def pool_batch_backward(cache, d_nodes: np.ndarray) -> np.ndarray:
-    C_in, assignment, argmaxes = cache
-    b, l, d = C_in.shape
-    shape = C_in.shape
-    if d_nodes.shape != (b, assignment.num_entities, 2 * d):
+def pool_batch_backward(cache: PoolCache, d_nodes: np.ndarray) -> np.ndarray:
+    C_in = cache.C
+    b, _, d = C_in.shape
+    if d_nodes.shape != (b, cache.assignment.num_entities, 2 * d):
         raise ShapeError(f"cotangent shape {d_nodes.shape} unexpected")
-    dC = np.zeros(shape)
-    for i, (s, e) in enumerate(assignment.spans):
-        width = e - s
-        dC[:, s:e, :] += d_nodes[:, i, :d][:, None, :] / width
-        scatter = np.zeros((b, width, d))
-        np.put_along_axis(scatter, argmaxes[i][:, None, :], d_nodes[:, i, d:][:, None, :], axis=1)
-        dC[:, s:e, :] += scatter
+    dC = np.zeros(C_in.shape)
+    for i, (s, e) in enumerate(cache.assignment.spans):
+        dC[:, s:e, :] += d_nodes[:, i, None, :d] / (e - s)
+        won = C_in[:, s:e, :] == cache.nodes[:, i, None, d:]
+        for r in range(1, e - s):
+            won[:, r] &= ~won[:, :r].any(axis=1)
+        dC[:, s:e, :] += won * d_nodes[:, i, None, d:]
     return dC
 
 
@@ -111,20 +127,24 @@ def tok2graph_meanmax(C: Matrix, assignment: SpanAssignment):
     return out[0], cache
 
 
-def tok2graph_backward(cache, d_nodes: Matrix) -> Matrix:
-    d_nodes = np.asarray(d_nodes, dtype=np.float64)
-    return pool_batch_backward(cache, d_nodes[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # back-projection: nodes -> tokens
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class UnpoolCache:
+    C: np.ndarray  # (B, L, d) tokens
+    nodes: np.ndarray  # (B, N, w) updated node states
+    pre: np.ndarray  # (B, L, d) mixer preactivations
+    mix: Matrix
+    assignment: SpanAssignment
+
+
 def unpool_batch_forward(
     C: np.ndarray, nodes: np.ndarray, assignment: SpanAssignment, mix: Matrix
 ):
-    """(B, L, d), (B, N, w) -> (B, L, d) through concat + ReLU mixing."""
+    """(B, L, d), (B, N, w) -> (B, L, d): ReLU([C, summary] @ mix), mixed at node width."""
     if C.ndim != 3 or nodes.ndim != 3:
         raise ShapeError("expected batched token and node states")
     d = C.shape[2]
@@ -133,22 +153,19 @@ def unpool_batch_forward(
         raise ShapeError(f"mix must be ({d + w}, {d}), got {mix.shape}")
     if nodes.shape[1] != assignment.num_entities:
         raise ShapeError("node count disagrees with span assignment")
-    summary = np.matmul(assignment.averaging, nodes)  # (L,N) @ (B,N,w)
-    concat = np.concatenate([C, summary], axis=-1)
-    b, l, c = concat.shape
-    pre = (concat.reshape(-1, c) @ mix).reshape(b, l, d)
-    return relu(pre), (concat, pre, mix, assignment, d)
+    pre = _flat_mm(C, mix[:d])
+    pre += np.matmul(assignment.averaging, _flat_mm(nodes, mix[d:]))  # (L,N) @ (B,N,d)
+    cache = UnpoolCache(C=C, nodes=nodes, pre=pre, mix=mix, assignment=assignment)
+    return relu(pre), cache
 
 
-def unpool_batch_backward(cache, d_out: np.ndarray):
-    concat, pre, mix, assignment, d = cache
-    b, l, c = concat.shape
-    d_pre = d_out * relu_grad_mask(pre)
-    d_pre_flat = d_pre.reshape(-1, d)
-    d_mix = concat.reshape(-1, c).T @ d_pre_flat
-    d_concat = (d_pre_flat @ mix.T).reshape(b, l, c)
-    dC = d_concat[..., :d]
-    d_nodes = np.matmul(assignment.averaging.T, d_concat[..., d:])
+def unpool_batch_backward(cache: UnpoolCache, d_out: np.ndarray):
+    d = cache.C.shape[2]
+    d_pre = d_out * relu_grad_mask(cache.pre)
+    d_nm = np.matmul(cache.assignment.averaging.T, d_pre)  # (N,L) @ (B,L,d)
+    d_mix = np.concatenate([_outer_grad(cache.C, d_pre), _outer_grad(cache.nodes, d_nm)])
+    dC = _flat_mm(d_pre, cache.mix[:d].T)
+    d_nodes = _flat_mm(d_nm, cache.mix[d:].T)
     return dC, d_nodes, d_mix
 
 

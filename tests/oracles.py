@@ -94,6 +94,41 @@ def loop_node_summary(nodes, spans, num_tokens):
     return out
 
 
+def loop_meanmax_backward(C, spans, d_nodes):
+    """Mean-max pooling gradient; on a tie the earliest row takes the max's share."""
+    C = np.asarray(C, dtype=np.float64)
+    d = C.shape[1]
+    dC = np.zeros_like(C)
+    for i, (s, e) in enumerate(spans):
+        for k in range(d):
+            for t in range(s, e):
+                dC[t, k] += d_nodes[i, k] / (e - s)
+            top = max(C[t, k] for t in range(s, e))
+            winner = next(t for t in range(s, e) if C[t, k] == top)
+            dC[winner, k] += d_nodes[i, d + k]
+    return dC
+
+
+def concat_mixer(C, nodes, spans, mix, d_out):
+    """Graph2Doc in its defining form: ReLU([C, summary] @ mix).
+
+    Returns the output and the gradients (dC, d_nodes, d_mix) of
+    sum(d_out * output), with summaries from ``loop_node_summary``.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    d = C.shape[1]
+    concat = np.concatenate([C, loop_node_summary(nodes, spans, C.shape[0])], axis=1)
+    pre = matmul_loops(concat, mix)
+    d_pre = np.where(pre > 0.0, d_out, 0.0)
+    d_concat = matmul_loops(d_pre, np.asarray(mix).T)
+    d_nodes = np.zeros_like(np.asarray(nodes, dtype=np.float64))
+    for t in range(C.shape[0]):
+        covering = [i for i, (s, e) in enumerate(spans) if s <= t < e]
+        for i in covering:
+            d_nodes[i] += d_concat[t, d:] / len(covering)
+    return np.maximum(pre, 0.0), d_concat[:, :d], d_nodes, matmul_loops(concat.T, d_pre)
+
+
 def loop_attention_head(x, wq, wk, wv, scale, keep):
     """One attention head with key masking, written as plain loops."""
     import math

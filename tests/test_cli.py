@@ -140,6 +140,60 @@ def test_probe_heads_on_planted_traces(tmp_path):
     assert rows[0]["layer"] == 1 and rows[0]["head"] == 2
 
 
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    # the overrides keep the run short should the key slip through
+    rc = main(["train", "--set", "hiden_dim=8", "--set", "hidden_dim=4", "--set", "epochs=1",
+               "--set", "num_examples=40", "--test-count", "10", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "hiden_dim" in err
+    assert not out.exists()
+
+    cfg = write_config(tmp_path / "task.cfg", TASK_KEYS + " hidden_dim=8")
+    assert main(["gen-synthetic", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "hidden_dim" in capsys.readouterr().err
+
+    # with --dataset no task config is built, so a task key is left over
+    data, labs = small_dataset(tmp_path, n=10)
+    rc = main(["train", "--dataset", str(data), "--labels", str(labs),
+               "--set", "num_examples=10", "--out", str(out)])
+    assert rc == 2
+    assert "num_examples" in capsys.readouterr().err
+
+    # subcommands that read no config take no --set at all
+    with pytest.raises(SystemExit) as exc:
+        main(["build-graph", "--input", str(data), "--set", "hidden_dim=8"])
+    assert exc.value.code == 2
+
+
+def test_labels_missing_a_dataset_id_is_rejected(tmp_path, capsys):
+    data, labs = small_dataset(tmp_path, n=30)
+    cfg = write_config(
+        tmp_path / "exp.cfg",
+        "variant=none hidden_dim=8 epochs=1 batch_size=16 seed=5",
+    )
+    out = tmp_path / "out"
+    train_args = ["train", "--config", str(cfg), "--dataset", str(data), "--test-count", "10",
+                  "--out", str(out)]
+    assert main(train_args + ["--labels", str(labs)]) == 0
+    capsys.readouterr()
+    lines = labs.read_text().splitlines()
+    missing_id = json.loads(lines[17])["id"]
+    short = tmp_path / "short_labels.jsonl"
+    short.write_text("\n".join(lines[:17] + lines[18:]) + "\n")
+
+    assert main(train_args + ["--labels", str(short)]) == 2
+    err = capsys.readouterr().err
+    assert missing_id in err and str(short) in err
+
+    rc = main(["eval-density", "--model", str(out / "model_none_seed5.json"),
+               "--dataset", str(data), "--labels", str(short), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert missing_id in err and str(short) in err
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["equivalence-check", "--bogus"])

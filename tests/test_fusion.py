@@ -10,10 +10,17 @@ from attnlab.fusion import (
     SpanAssignment,
     fusion_block_forward,
     graph2doc,
+    pool_batch_backward,
+    pool_batch_forward,
     tok2graph_meanmax,
+    unpool_batch_backward,
+    unpool_batch_forward,
 )
-from attnlab.numerics import SeededRng
-from oracles import loop_meanmax, loop_node_summary
+from attnlab.numerics import SeededRng, finite_diff_grad
+from oracles import concat_mixer, loop_meanmax, loop_meanmax_backward, loop_node_summary
+
+# overlapping spans, a repeated span and a single-token span; token 9 is uncovered
+POOL_SPANS = [(0, 3), (2, 5), (2, 5), (6, 7), (5, 9)]
 
 
 def test_single_token_span_mean_equals_max():
@@ -86,6 +93,64 @@ def test_graph2doc_shape_errors():
     asg = SpanAssignment([(0, 1)], 2)
     with pytest.raises(ShapeError):
         graph2doc(np.ones((2, 3)), np.ones((1, 2)), asg, np.ones((4, 3)))
+
+
+def test_pool_backward_matches_finite_differences_on_overlapping_spans():
+    rng = SeededRng(7)
+    b, L, d = 2, 10, 3
+    asg = SpanAssignment(POOL_SPANS, L)
+    C = rng.normal((b, L, d))
+    weights = rng.normal((b, len(POOL_SPANS), 2 * d))
+    _, cache = pool_batch_forward(C, asg)
+    dC = pool_batch_backward(cache, weights)
+
+    def loss(x):
+        return float((weights * pool_batch_forward(x, asg)[0]).sum())
+
+    np.testing.assert_allclose(dC, finite_diff_grad(loss, C), rtol=0, atol=1e-8)
+    assert (dC[:, 9] == 0.0).all()
+    for k in range(b):
+        np.testing.assert_array_equal(dC[k], loop_meanmax_backward(C[k], POOL_SPANS, weights[k]))
+
+
+def test_pool_backward_gives_ties_to_the_first_maximizer():
+    # column 0 ties rows 1 and 2, column 1 ties rows 0 and 2
+    asg = SpanAssignment([(0, 3)], 3)
+    C = np.array([[[0.0, 5.0], [2.0, 1.0], [2.0, 5.0]]])
+    _, cache = pool_batch_forward(C, asg)
+    dC = pool_batch_backward(cache, np.array([[[0.0, 0.0, 1.0, 1.0]]]))
+    np.testing.assert_array_equal(dC[0], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+
+    # rounded entries plant ties in every span, overlapping and repeated ones too
+    rng = SeededRng(8)
+    asg = SpanAssignment(POOL_SPANS, 10)
+    C = np.round(rng.normal((4, 10, 3)))
+    d_nodes = rng.normal((4, len(POOL_SPANS), 6))
+    _, cache = pool_batch_forward(C, asg)
+    dC = pool_batch_backward(cache, d_nodes)
+    for k in range(4):
+        np.testing.assert_array_equal(dC[k], loop_meanmax_backward(C[k], POOL_SPANS, d_nodes[k]))
+
+
+def test_node_width_mixer_matches_concat_form():
+    rng = SeededRng(6)
+    b, L, d, w = 3, 10, 3, 4
+    asg = SpanAssignment(POOL_SPANS, L)
+    C = rng.normal((b, L, d))
+    nodes = rng.normal((b, len(POOL_SPANS), w))
+    mix = rng.normal((d + w, d))
+    d_out = rng.normal((b, L, d))
+    out, cache = unpool_batch_forward(C, nodes, asg, mix)
+    dC, d_nodes, d_mix = unpool_batch_backward(cache, d_out)
+    assert (cache.pre < 0.0).any() and (cache.pre > 0.0).any()
+    want_mix = np.zeros_like(mix)
+    for k in range(b):
+        o, dc, dn, dm = concat_mixer(C[k], nodes[k], POOL_SPANS, mix, d_out[k])
+        np.testing.assert_allclose(out[k], o, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dC[k], dc, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_nodes[k], dn, rtol=0, atol=1e-12)
+        want_mix += dm
+    np.testing.assert_allclose(d_mix, want_mix, rtol=0, atol=1e-12)
 
 
 def test_fusion_single_hop_equals_manual_composition():
