@@ -32,6 +32,6 @@ from .fusion import (
 from .head_probe import AttentionTrace, attention_to_token, head_entity_score, rank_heads
 from .numerics import Matrix, SeededRng, finite_diff_grad, leaky_relu, matmul, relu, softmax_row
 from .synth import SyntheticTaskConfig, generate_synthetic
-from .train import ExperimentConfig, MetricsReport, TrainedModel, evaluate_by_density, train
+from .train import ExperimentConfig, MetricsReport, TrainedModel, evaluate_by_density
 
 __version__ = "0.1.0"

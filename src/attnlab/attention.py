@@ -44,10 +44,9 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ShapeError(f"scores {scores.shape} vs mask {mask.shape}")
     if not mask.any(axis=-1).all():
         raise ValidationError("softmax row with empty support")
-    rowmax = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
-    out = np.zeros_like(scores)
-    shifted = scores - rowmax
-    out[mask] = np.exp(shifted[mask])
+    out = np.where(mask, scores, -np.inf)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)  # exp(-inf) is an exact 0.0
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
@@ -335,24 +334,34 @@ def init_transformer_params(
     ).validate()
 
 
+# The elementwise layers below work in place on arrays they allocated
+# themselves, never on a caller's input or on anything a cache holds.
+# Every operation keeps its operands and order, so results keep their bits.
+
+
 def _layernorm_forward(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
-    return gain * xhat + bias, (xhat, inv_std, gain)
+    xhat = x - mu
+    out = np.square(xhat)
+    inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv_std
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, (xhat, inv_std, gain)
 
 
 def _layernorm_backward(dy, ln_cache):
     xhat, inv_std, gain = ln_cache
-    d_gain = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    d_bias = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * gain
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    lead = tuple(range(dy.ndim - 1))
+    scratch = dy * xhat
+    d_gain = scratch.sum(axis=lead)
+    d_bias = dy.sum(axis=lead)
+    dx = dy * gain  # dxhat
+    np.multiply(dx, xhat, out=scratch)
+    proj = scratch.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= np.multiply(xhat, proj, out=scratch)
+    dx *= inv_std
     return dx, d_gain, d_bias
 
 
@@ -406,22 +415,27 @@ def _mha_backward(d_out, mha_cache, lp: TransformerLayerParams, num_heads):
     d_wq = _outer_grad(x, dqm)
     d_wk = _outer_grad(x, dkm)
     d_wv = _outer_grad(x, dvm)
-    dx = _flat_mm(dqm, lp.wq.T) + _flat_mm(dkm, lp.wk.T) + _flat_mm(dvm, lp.wv.T)
+    dx = _flat_mm(dqm, lp.wq.T)
+    dx += _flat_mm(dkm, lp.wk.T)
+    dx += _flat_mm(dvm, lp.wv.T)
     return dx, {"wq": d_wq, "wk": d_wk, "wv": d_wv, "wo": d_wo}
 
 
 def _ffn_forward(x, lp: TransformerLayerParams):
-    pre = _flat_mm(x, lp.w1) + lp.b1
+    pre = _flat_mm(x, lp.w1)
+    pre += lp.b1
     hidden = relu(pre)
-    return _flat_mm(hidden, lp.w2) + lp.b2, (x, pre, hidden)
+    out = _flat_mm(hidden, lp.w2)
+    out += lp.b2
+    return out, (x, pre, hidden)
 
 
 def _ffn_backward(d_out, ffn_cache, lp: TransformerLayerParams):
     x, pre, hidden = ffn_cache
     d_w2 = _outer_grad(hidden, d_out)
     d_b2 = d_out.sum(axis=(0, 1))
-    d_hidden = _flat_mm(d_out, lp.w2.T)
-    d_pre = d_hidden * relu_grad_mask(pre)
+    d_pre = _flat_mm(d_out, lp.w2.T)  # d_hidden
+    d_pre *= pre > 0.0
     d_w1 = _outer_grad(x, d_pre)
     d_b1 = d_pre.sum(axis=(0, 1))
     dx = _flat_mm(d_pre, lp.w1.T)
@@ -455,16 +469,18 @@ def transformer_batch_forward(
     for lp in params.layers:
         if params.pre_norm:
             n1, ln1c = _layernorm_forward(x, lp.ln1_gain, lp.ln1_bias)
-            a_out, alpha, mha_c = _mha_forward(n1, lp, params.num_heads, key_keep)
-            x1 = x + a_out
+            x1, alpha, mha_c = _mha_forward(n1, lp, params.num_heads, key_keep)
+            x1 += x
             n2, ln2c = _layernorm_forward(x1, lp.ln2_gain, lp.ln2_bias)
-            f_out, ffn_c = _ffn_forward(n2, lp)
-            x_next = x1 + f_out
+            x_next, ffn_c = _ffn_forward(n2, lp)
+            x_next += x1
         else:
             a_out, alpha, mha_c = _mha_forward(x, lp, params.num_heads, key_keep)
-            x1, ln1c = _layernorm_forward(x + a_out, lp.ln1_gain, lp.ln1_bias)
+            a_out += x
+            x1, ln1c = _layernorm_forward(a_out, lp.ln1_gain, lp.ln1_bias)
             f_out, ffn_c = _ffn_forward(x1, lp)
-            x_next, ln2c = _layernorm_forward(x1 + f_out, lp.ln2_gain, lp.ln2_bias)
+            f_out += x1
+            x_next, ln2c = _layernorm_forward(f_out, lp.ln2_gain, lp.ln2_bias)
         traces.append(alpha)
         layer_caches.append((mha_c, ln1c, ffn_c, ln2c))
         x = x_next
@@ -493,16 +509,14 @@ def transformer_batch_backward(cache, d_out: np.ndarray):
         else:
             # x_next = ln2(x1 + ffn(x1))
             d_r2, g["ln2_gain"], g["ln2_bias"] = _layernorm_backward(dx, ln2c)
-            d_x1 = d_r2.copy()
-            d_ffn_in, ffn_g = _ffn_backward(d_r2, ffn_c, lp)
+            d_x1, ffn_g = _ffn_backward(d_r2, ffn_c, lp)
             g.update(ffn_g)
-            d_x1 += d_ffn_in
+            d_x1 += d_r2
             # x1 = ln1(x + mha(x))
             d_r1, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_x1, ln1c)
-            dx = d_r1.copy()
-            d_mha_in, mha_g = _mha_backward(d_r1, mha_c, lp, params.num_heads)
+            dx, mha_g = _mha_backward(d_r1, mha_c, lp, params.num_heads)
             g.update(mha_g)
-            dx += d_mha_in
+            dx += d_r1
         grads.append(g)
     grads.reverse()
     return dx, grads

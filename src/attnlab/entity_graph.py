@@ -132,9 +132,6 @@ class EntityGraph:
     mentions: list[str]  # normalized
     adjacency: Matrix
 
-    def neighbor_sets(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.adjacency[i]) for i in range(self.n)]
-
 
 def build_graph(example: ContextExample, exact_mentions: bool = False) -> EntityGraph:
     """Connect co-mention and co-sentence entity pairs; add self-loops.

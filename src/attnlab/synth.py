@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .entity_graph import ContextExample, EntitySpan
-from .errors import GenerationError
+from .errors import GenerationError, ValidationError
 from .numerics import SeededRng
 
 SPAN_TOKENS = 2  # every mention is two tokens ("given" + "family" part)
@@ -93,17 +93,6 @@ class SyntheticTaskConfig:
     def num_tokens(self) -> int:
         question = SPAN_TOKENS + FILLERS_PER_SENTENCE
         return question + (self.sentences_per_context - 1) * self.tokens_per_context_sentence
-
-
-def vocabulary(cfg: SyntheticTaskConfig) -> dict[str, int]:
-    """Deterministic token-to-id map covering every generatable token."""
-    vocab: dict[str, int] = {}
-    for k in range(cfg.num_entities_pool):
-        for tok in entity_text_tokens(k):
-            vocab[tok] = len(vocab)
-    for tok in FILLER_TOKENS:
-        vocab[tok] = len(vocab)
-    return vocab
 
 
 def _filler(rng: SeededRng) -> str:
@@ -240,10 +229,17 @@ def write_labels_jsonl(examples, labels, path: str | Path) -> None:
 
 
 def load_labels_jsonl(path: str | Path) -> dict[str, int]:
+    """Read ``{"id", "answer_node"}`` JSONL lines; errors name the line."""
     out: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
                 out[str(row["id"])] = int(row["answer_node"])
+            except KeyError as exc:
+                raise ValidationError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -24,8 +24,10 @@ apart.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -59,6 +61,41 @@ from .serialize import load_manifest, save_manifest
 
 VARIANTS = ("graph_attention", "self_attention", "transformer", "none")
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8, 1.0)
+# Examples per forward pass at inference: the default batch size, so eval
+# holds no more live memory than one training step. A constant rather than
+# ``cfg.batch_size`` keeps in-memory and reloaded models bit-identical.
+PREDICT_CHUNK = 24
+# Checkpoints without a "format" key predate the full config in the meta.
+CHECKPOINT_FORMAT = 2
+# glibc ``mallopt`` parameters (malloc.h) and the values ``_reuse_freed_pages`` sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+KEEP_FREE_BYTES = 256 * 2**20
+MMAP_MIN_BYTES = 32 * 2**20
+
+
+@functools.cache
+def _reuse_freed_pages() -> None:
+    """Have the C allocator keep freed memory for the next batch.
+
+    A batch's forward (and backward) allocates dozens of 0.5-4 MB arrays
+    and frees them together when the batch ends. By default glibc serves
+    such sizes from ``mmap``, or trims them off the heap top once freed,
+    so every batch faults its pages in afresh: about 400 000 4 KB page
+    faults per 1000-example transformer eval in chunks of
+    ``PREDICT_CHUNK``, whose cost on a virtual machine moves with the
+    host's load. Serving blocks under ``MMAP_MIN_BYTES`` from the heap
+    and trimming only past ``KEEP_FREE_BYTES`` of free top lets each
+    batch reuse the pages the last one freed; peak memory stays that of
+    the largest live set. The setting is process-wide, and a no-op where
+    the C library has no ``mallopt`` (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, MMAP_MIN_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, KEEP_FREE_BYTES)
 
 
 @dataclass
@@ -188,6 +225,25 @@ def init_model_params(cfg: ExperimentConfig, data: TaskData, rng: SeededRng) -> 
     else:
         params["scorer"] = rng.split(40).normal((2 * d,), 1.0 / np.sqrt(2 * d))
     return params
+
+
+def param_shapes(cfg: ExperimentConfig, vocab_size: int, num_tokens: int) -> dict:
+    """Name -> shape of every parameter ``init_model_params`` makes."""
+    d = cfg.hidden_dim
+    shapes = {"embed": (vocab_size, d), "pos": (num_tokens, d), "scorer": (2 * d,)}
+    for t in range(cfg.hops):
+        if cfg.variant in ("graph_attention", "self_attention"):
+            shapes.update({
+                f"fusion.{t}.proj": (2 * d, d),
+                f"fusion.{t}.attn_vec": (2 * d,),
+                f"fusion.{t}.mix": (2 * d, d),
+            })
+        elif cfg.variant == "transformer":
+            for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
+                shapes[f"tf.{t}.{name}"] = (d, d)
+            for name in ("b1", "b2", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
+                shapes[f"tf.{t}.{name}"] = (d,)
+    return shapes
 
 
 def _fusion_views(params: dict, cfg: ExperimentConfig) -> list[FusionParams]:
@@ -358,11 +414,18 @@ class TrainedModel:
     spans: list[tuple[int, int]]
     num_tokens: int
 
-    def predict_scores(self, data: TaskData, idx: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def predict_scores(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
+        """Scores (len(idx), N), ``PREDICT_CHUNK`` examples per forward pass.
+
+        Each chunk's backward cache is dropped before the next chunk runs,
+        so live memory stays that of one chunk however many examples are
+        scored.
+        """
+        _reuse_freed_pages()
         outs = []
-        for lo in range(0, idx.size, chunk):
-            scores, _ = model_forward(self.cfg, self.params, data, idx[lo : lo + chunk])
-            outs.append(scores)
+        for lo in range(0, idx.size, PREDICT_CHUNK):
+            chunk = idx[lo : lo + PREDICT_CHUNK]
+            outs.append(model_forward(self.cfg, self.params, data, chunk)[0])
         return np.concatenate(outs) if outs else np.zeros((0, 0))
 
     def predict(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
@@ -376,12 +439,8 @@ class TrainedModel:
 
     def save(self, path: str | Path) -> None:
         meta = {
-            "variant": self.cfg.variant,
-            "hops": self.cfg.hops,
-            "hidden_dim": self.cfg.hidden_dim,
-            "num_heads": self.cfg.num_heads,
-            "leaky_slope": self.cfg.leaky_slope,
-            "seed": self.cfg.seed,
+            "format": CHECKPOINT_FORMAT,
+            "config": asdict(self.cfg),
             "vocab": self.vocab,
             "spans": [list(s) for s in self.spans],
             "num_tokens": self.num_tokens,
@@ -390,22 +449,53 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        arrays, meta = load_manifest(path)
-        cfg = ExperimentConfig(
+        """Rebuild a saved model; a checkpoint that does not fit raises
+        ``ValidationError`` naming the file and the first mismatch."""
+        try:
+            arrays, meta = load_manifest(path)
+            cfg = _checkpoint_config(meta)
+            model = cls(
+                cfg=cfg,
+                params=arrays,
+                vocab=[str(t) for t in meta["vocab"]],
+                spans=[(int(s), int(e)) for s, e in meta["spans"]],
+                num_tokens=int(meta["num_tokens"]),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"{path}: checkpoint meta lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+        expected = param_shapes(cfg, len(model.vocab), model.num_tokens)
+        for name in sorted(set(expected) | set(arrays)):
+            if name not in arrays:
+                raise ValidationError(f"{path}: no array {name!r}, which {cfg.variant} needs")
+            if name not in expected:
+                raise ValidationError(f"{path}: array {name!r} is not a {cfg.variant} parameter")
+            if arrays[name].shape != expected[name]:
+                raise ValidationError(
+                    f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                    f"{cfg.variant} expects {expected[name]}"
+                )
+        return model
+
+
+def _checkpoint_config(meta: dict) -> ExperimentConfig:
+    if "format" not in meta:
+        return ExperimentConfig(
             variant=meta["variant"],
             hops=int(meta["hops"]),
             hidden_dim=int(meta["hidden_dim"]),
             num_heads=int(meta["num_heads"]),
             leaky_slope=float(meta.get("leaky_slope", 0.2)),
             seed=int(meta.get("seed", 0)),
-        )
-        return cls(
-            cfg=cfg,
-            params=arrays,
-            vocab=[str(t) for t in meta["vocab"]],
-            spans=[(int(s), int(e)) for s, e in meta["spans"]],
-            num_tokens=int(meta["num_tokens"]),
-        )
+        ).validate()
+    if meta["format"] != CHECKPOINT_FORMAT:
+        raise ValidationError(f"unsupported checkpoint format {meta['format']!r}")
+    values = meta["config"]
+    unknown = sorted(set(values) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValidationError(f"unknown config key(s) {', '.join(unknown)}")
+    return ExperimentConfig(**values).validate()
 
 
 @dataclass
@@ -495,6 +585,7 @@ def train(
     cfg.validate()
     if data.n_test < 1:
         raise ValidationError("training needs a held-out slice")
+    _reuse_freed_pages()
     started = time.perf_counter()
     rng = SeededRng(cfg.seed)
     params = init_model_params(cfg, data, rng.split(100))
@@ -539,12 +630,6 @@ def train(
     return model, report
 
 
-def train_loss_curve(cfg: ExperimentConfig, data: TaskData) -> list[float]:
-    """Convenience wrapper used by the degeneracy step-identity check."""
-    _, report = train(cfg, data)
-    return report.loss_curve
-
-
 # ---------------------------------------------------------------------------
 # trace export for the head probe
 # ---------------------------------------------------------------------------
@@ -553,20 +638,27 @@ def train_loss_curve(cfg: ExperimentConfig, data: TaskData) -> list[float]:
 def transformer_traces(
     model: TrainedModel, data: TaskData, idx: np.ndarray
 ) -> list[AttentionTrace]:
+    """Per-example attention traces, ``PREDICT_CHUNK`` examples per forward pass."""
     if model.cfg.variant != "transformer":
         raise ValidationError("attention traces are exported from the transformer variant")
-    tok = data.token_ids[idx]
-    x0 = model.params["embed"][tok] + model.params["pos"][None, :, :]
-    _, traces, _ = transformer_batch_forward(x0, _transformer_view(model.params, model.cfg))
+    _reuse_freed_pages()
+    view = _transformer_view(model.params, model.cfg)
     entity_mask = np.zeros(data.token_ids.shape[1], dtype=bool)
     for s, e in model.spans:
         entity_mask[s:e] = True
     out = []
-    for bi, i in enumerate(idx):
-        layers = [[np.array(layer[bi, h]) for h in range(layer.shape[1])] for layer in traces]
-        out.append(
-            AttentionTrace(
-                example_id=data.examples[i].id, layers=layers, entity_mask=entity_mask.copy()
-            ).validate()
-        )
+    for lo in range(0, idx.size, PREDICT_CHUNK):
+        chunk = idx[lo : lo + PREDICT_CHUNK]
+        tok = data.token_ids[chunk]
+        traces = transformer_batch_forward(
+            model.params["embed"][tok] + model.params["pos"][None, :, :], view
+        )[1]
+        for bi, i in enumerate(chunk):
+            layers = [[np.array(layer[bi, h]) for h in range(layer.shape[1])] for layer in traces]
+            out.append(
+                AttentionTrace(
+                    example_id=data.examples[i].id, layers=layers, entity_mask=entity_mask.copy()
+                ).validate()
+            )
+        del traces  # copied out; the next chunk's forward runs without them
     return out

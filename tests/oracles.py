@@ -227,3 +227,33 @@ def planted_trace_layers(
             heads.append(A)
         layers.append(heads)
     return layers
+
+
+def layernorm_forward_expression(x, gain, bias, eps=1e-5):
+    """Layer norm written as one expression per line, each a fresh array."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def layernorm_backward_expression(dy, xhat, inv_std, gain):
+    """Layer-norm gradients (dx, d_gain, d_bias) as plain expressions."""
+    lead = tuple(range(dy.ndim - 1))
+    dxhat = dy * gain
+    dx = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, np.sum(dy * xhat, axis=lead), np.sum(dy, axis=lead)
+
+
+def gather_scatter_softmax(scores, mask):
+    """Masked softmax that exponentiates only the entries on the mask."""
+    rowmax = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+    out = np.zeros_like(scores)
+    out[mask] = np.exp((scores - rowmax)[mask])
+    out /= out.sum(axis=-1, keepdims=True)
+    return out

@@ -13,6 +13,7 @@ from attnlab.attention import (
 from attnlab.errors import ShapeError, ValidationError
 from attnlab.numerics import SeededRng
 from attnlab.reference import loop_graph_attention
+from oracles import gather_scatter_softmax
 
 
 def random_instance(rng: SeededRng, n=None, d_in=None, d_out=None, p_edge=0.5):
@@ -144,3 +145,20 @@ def test_masked_softmax_empty_row_rejected():
     mask = np.zeros((1, 2, 2), dtype=bool)
     with pytest.raises(ValidationError):
         masked_softmax(scores, mask)
+
+
+@pytest.mark.parametrize("shape", [(5, 9, 9), (3, 4, 28, 28)])
+def test_masked_softmax_is_bit_equal_to_gather_scatter(shape):
+    rng = np.random.default_rng(8)
+    scores = rng.normal(0.0, 6.0, shape)
+    partial = rng.random(shape) < 0.4
+    partial[..., rng.integers(0, shape[-1])] = True  # no empty row
+    keys = np.broadcast_to(rng.random(shape[-1]) < 0.7, shape).copy()
+    keys[..., 0] = True
+    for mask in (partial, np.ones(shape, dtype=bool), keys):
+        before = scores.copy()
+        out = masked_softmax(scores, mask)
+        assert np.array_equal(out, gather_scatter_softmax(scores, mask))
+        assert np.array_equal(scores, before)
+        off = out[~mask]
+        assert (off == 0.0).all() and not np.signbit(off).any()

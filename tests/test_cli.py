@@ -194,6 +194,48 @@ def test_labels_missing_a_dataset_id_is_rejected(tmp_path, capsys):
     assert missing_id in err and str(short) in err
 
 
+def test_bad_labels_lines_are_rejected(tmp_path, capsys):
+    data, labs = small_dataset(tmp_path, n=30)
+    lines = labs.read_text().splitlines()
+    for bad_line in ('{"answer_node": 3}', '{"id": "x"}', "not json"):
+        bad = tmp_path / "bad_labels.jsonl"
+        bad.write_text("\n".join(lines[:5] + [bad_line] + lines[5:]) + "\n")
+        rc = main(["train", "--dataset", str(data), "--labels", str(bad), "--set", "epochs=1",
+                   "--set", "hidden_dim=4", "--test-count", "10", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{bad}:6:" in capsys.readouterr().err
+
+
+def test_mismatched_checkpoint_is_rejected(tmp_path, capsys):
+    data, labs = small_dataset(tmp_path, n=30)
+    cfg = write_config(
+        tmp_path / "exp.cfg", "variant=transformer hidden_dim=8 num_heads=2 epochs=1"
+    )
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--dataset", str(data), "--labels", str(labs),
+                 "--test-count", "10", "--out", str(out)]) == 0
+    ckpt = out / "model_transformer_seed7.json"
+    doc = json.loads(ckpt.read_text())
+    assert doc["meta"]["config"]["variant"] == "transformer"
+    eval_args = ["eval-density", "--dataset", str(data), "--labels", str(labs), "--out", str(out)]
+    capsys.readouterr()
+
+    bad = tmp_path / "bad_model.json"
+    for edit, named in (
+        (lambda d: d["arrays"]["tf.1.b1"].update(shape=[2, 4]), "'tf.1.b1'"),
+        (lambda d: d["arrays"].pop("tf.0.wq"), "'tf.0.wq'"),
+        (lambda d: d["meta"]["config"].update(variant="graph_attention"), "'fusion.0.attn_vec'"),
+        (lambda d: d["meta"]["config"].update(hidden_dims=8), "hidden_dims"),
+        (lambda d: d["meta"].pop("vocab"), "'vocab'"),
+    ):
+        broken = json.loads(ckpt.read_text())
+        edit(broken)
+        bad.write_text(json.dumps(broken))
+        assert main(eval_args + ["--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err, err
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["equivalence-check", "--bogus"])

@@ -1,10 +1,17 @@
+import platform
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from attnlab.errors import ValidationError
 from attnlab.numerics import SeededRng, finite_diff_grad, relative_error
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic
+from attnlab.serialize import save_manifest
 from attnlab.train import (
+    PREDICT_CHUNK,
+    VARIANTS,
     Adam,
     ExperimentConfig,
     TrainedModel,
@@ -13,9 +20,11 @@ from attnlab.train import (
     init_model_params,
     model_backward,
     model_forward,
+    param_shapes,
     prepare_task_data,
     softmax_cross_entropy,
     train,
+    transformer_traces,
 )
 
 
@@ -165,6 +174,105 @@ def test_checkpoint_roundtrip(tmp_path):
     )
     for k in model.params:
         assert np.array_equal(loaded.params[k], model.params[k])
+
+
+def untrained_model(variant, data, **kw):
+    cfg = small_cfg(variant, **kw)
+    return TrainedModel(
+        cfg=cfg,
+        params=init_model_params(cfg, data, SeededRng(cfg.seed)),
+        vocab=data.vocab,
+        spans=[(s, e) for s, e in data.assignment.spans],
+        num_tokens=data.token_ids.shape[1],
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("fully_connected", [False, True])
+def test_checkpoint_roundtrip_keeps_the_config(tmp_path, variant, fully_connected):
+    data = small_data(n=60, n_test=50)
+    model = untrained_model(
+        variant, data, force_fully_connected=fully_connected, embed_scale=0.3, epochs=5
+    )
+    model.save(tmp_path / "model.json")
+    loaded = TrainedModel.load(tmp_path / "model.json")
+    assert loaded.cfg == model.cfg
+    assert np.array_equal(
+        loaded.predict_scores(data, data.test_idx), model.predict_scores(data, data.test_idx)
+    )
+
+
+def test_param_shapes_is_the_init_layout():
+    data = small_data(n=24, n_test=8)
+    for variant in VARIANTS:
+        cfg = small_cfg(variant, hops=3)
+        params = init_model_params(cfg, data, SeededRng(0))
+        expected = param_shapes(cfg, len(data.vocab), data.token_ids.shape[1])
+        assert {k: v.shape for k, v in params.items()} == expected
+
+
+def test_checkpoint_without_format_loads_as_before(tmp_path):
+    data = small_data(n=40, n_test=30)
+    model = untrained_model("graph_attention", data)
+    cfg = model.cfg
+    meta = {
+        "variant": cfg.variant, "hops": cfg.hops, "hidden_dim": cfg.hidden_dim,
+        "num_heads": cfg.num_heads, "leaky_slope": cfg.leaky_slope, "seed": cfg.seed,
+        "vocab": model.vocab, "spans": [list(s) for s in model.spans],
+        "num_tokens": model.num_tokens,
+    }
+    save_manifest(model.params, tmp_path / "old.json", meta)
+    loaded = TrainedModel.load(tmp_path / "old.json")
+    assert loaded.cfg == ExperimentConfig(
+        variant=cfg.variant, hops=cfg.hops, hidden_dim=cfg.hidden_dim,
+        num_heads=cfg.num_heads, leaky_slope=cfg.leaky_slope, seed=cfg.seed,
+    )
+    assert np.array_equal(
+        loaded.predict_scores(data, data.test_idx), model.predict_scores(data, data.test_idx)
+    )
+
+
+def _working_peak(fn) -> int:
+    """tracemalloc peak of ``fn()`` less what its result still holds."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+@pytest.mark.parametrize(
+    "variant, export",
+    [("transformer", "predict"), ("transformer", "traces"), ("graph_attention", "predict")],
+)
+def test_eval_holds_one_chunk_of_live_memory(variant, export):
+    n = 10 * PREDICT_CHUNK
+    data = small_data(n=n + 1, n_test=n)
+    model = untrained_model(variant, data, hidden_dim=32)
+    run = {
+        "predict": lambda idx: model.predict_scores(data, idx),
+        "traces": lambda idx: transformer_traces(model, data, idx),
+    }[export]
+    one = data.test_idx[:PREDICT_CHUNK]
+    run(one)  # warm up
+    assert _working_peak(lambda: run(data.test_idx)) <= 1.2 * _working_peak(lambda: run(one))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator setting")
+def test_repeated_predict_reuses_freed_pages():
+    n = 10 * PREDICT_CHUNK
+    data = small_data(n=n + 1, n_test=n)
+    model = untrained_model("transformer", data, hidden_dim=300)
+    model.predict_scores(data, data.test_idx)  # warm up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.predict_scores(data, data.test_idx)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # each chunk allocates ~25 MB of 1 MB arrays; without reuse that is
+    # ~6000 fresh 4 KB pages per chunk
+    assert faults < 1000
 
 
 def test_evaluate_by_density_on_fresh_examples():

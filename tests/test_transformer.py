@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from attnlab.attention import (
+    LN_EPS,
+    _layernorm_backward,
+    _layernorm_forward,
     init_transformer_params,
     transformer_backward,
     transformer_forward,
@@ -9,7 +12,11 @@ from attnlab.attention import (
 from attnlab.checks import gradcheck_transformer
 from attnlab.errors import ShapeError
 from attnlab.numerics import SeededRng
-from oracles import loop_attention_head
+from oracles import (
+    layernorm_backward_expression,
+    layernorm_forward_expression,
+    loop_attention_head,
+)
 
 
 def small_params(rng, layers=2, d=6, heads=2, ffn=5, pre_norm=False):
@@ -98,3 +105,29 @@ def test_shape_validation():
         transformer_forward(rng.normal((4, 5)), params)
     with pytest.raises(ShapeError):
         transformer_forward(rng.normal((4, 6)), params, np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("shape", [(7, 12), (3, 5, 12)])
+def test_layernorm_in_place_is_bit_equal_to_expressions(shape):
+    rng = np.random.default_rng(6)
+    x = rng.normal(2.0, 3.0, shape)
+    gain = rng.normal(1.0, 0.5, shape[-1])
+    bias = rng.normal(0.0, 0.5, shape[-1])
+    dy = rng.normal(0.0, 1.0, shape)
+    x_before, dy_before = x.copy(), dy.copy()
+    y, (xhat, inv_std, cached_gain) = _layernorm_forward(x, gain, bias)
+    ref_y, ref_xhat, ref_inv_std = layernorm_forward_expression(x, gain, bias, LN_EPS)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(xhat, ref_xhat)
+    assert np.array_equal(inv_std, ref_inv_std)
+    assert cached_gain is gain
+    xhat_before = xhat.copy()
+    got = _layernorm_backward(dy, (xhat, inv_std, gain))
+    ref = layernorm_backward_expression(dy, xhat, inv_std, gain)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    # the caller's input, cotangent and the cache are left as they were
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(dy, dy_before)
+    assert np.array_equal(xhat, xhat_before)
