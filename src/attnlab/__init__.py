@@ -30,7 +30,7 @@ from .fusion import (
     tok2graph_meanmax,
 )
 from .head_probe import AttentionTrace, attention_to_token, head_entity_score, rank_heads
-from .numerics import Matrix, SeededRng, finite_diff_grad, leaky_relu, matmul, relu, softmax_row
+from .numerics import Matrix, SeededRng, finite_diff_grad, leaky_relu, relu
 from .synth import SyntheticTaskConfig, generate_synthetic
 from .train import ExperimentConfig, MetricsReport, TrainedModel, evaluate_by_density
 

@@ -10,6 +10,10 @@ all-ones adjacency is, by definition, the fully-connected self-attention
 variant; ``self_attention_forward`` literally calls the masked code path
 with an all-ones mask, so the equivalence is bitwise.
 
+The transformer is post-norm (layer norm after each residual add) and
+attends over every token: batches share one token layout, so there is
+no padding to mask.
+
 Internally every operation is batched over a leading axis; the public
 single-example API wraps batch size 1. The trainer reuses the batched
 internals directly.
@@ -18,7 +22,6 @@ internals directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -275,7 +278,6 @@ class TransformerParams:
     layers: list[TransformerLayerParams]
     model_dim: int
     num_heads: int
-    pre_norm: bool = False
 
     def validate(self) -> "TransformerParams":
         if not self.layers:
@@ -304,7 +306,6 @@ def init_transformer_params(
     model_dim: int,
     num_heads: int,
     ffn_dim: int | None = None,
-    pre_norm: bool = False,
 ) -> TransformerParams:
     if ffn_dim is None:
         ffn_dim = model_dim
@@ -329,9 +330,7 @@ def init_transformer_params(
                 ln2_bias=np.zeros(d),
             )
         )
-    return TransformerParams(
-        layers=layers, model_dim=d, num_heads=num_heads, pre_norm=pre_norm
-    ).validate()
+    return TransformerParams(layers=layers, model_dim=d, num_heads=num_heads).validate()
 
 
 # The elementwise layers below work in place on arrays they allocated
@@ -385,15 +384,13 @@ def _outer_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _mha_forward(x, lp: TransformerLayerParams, num_heads, key_keep):
-    """key_keep: (B, L) boolean, False for padded positions."""
+def _mha_forward(x, lp: TransformerLayerParams, num_heads):
     scale = 1.0 / np.sqrt(x.shape[-1] // num_heads)
     q = _split_heads(_flat_mm(x, lp.wq), num_heads)
     k = _split_heads(_flat_mm(x, lp.wk), num_heads)
     v = _split_heads(_flat_mm(x, lp.wv), num_heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    mask = np.broadcast_to(key_keep[:, None, None, :], scores.shape)
-    alpha = masked_softmax(scores, mask)
+    alpha = masked_softmax(scores, np.broadcast_to(True, scores.shape))
     ctx = alpha @ v
     merged = _merge_heads(ctx)
     out = _flat_mm(merged, lp.wo)
@@ -443,47 +440,29 @@ def _ffn_backward(d_out, ffn_cache, lp: TransformerLayerParams):
 
 
 def transformer_batch_forward(
-    X: np.ndarray, params: TransformerParams, pad_mask: Optional[np.ndarray] = None
+    X: np.ndarray, params: TransformerParams
 ) -> tuple[np.ndarray, list[np.ndarray], list]:
-    """Encoder stack over (B, L, model_dim). pad_mask: (B, L), True = padded.
+    """Post-norm encoder stack over (B, L, model_dim).
 
-    Returns final states, per-layer attention traces (B, heads, L, L) that
-    are row-stochastic over unpadded keys, and the backward cache.
+    Returns final states, per-layer row-stochastic attention traces
+    (B, heads, L, L), and the backward cache.
     """
     params.validate()
     if X.ndim != 3 or X.shape[-1] != params.model_dim:
         raise ShapeError(f"expected (B, L, {params.model_dim}) input, got {X.shape}")
     assert_finite(X, "transformer input")
-    b, l, _ = X.shape
-    if pad_mask is None:
-        key_keep = np.ones((b, l), dtype=bool)
-    else:
-        pad_mask = np.asarray(pad_mask, dtype=bool)
-        if pad_mask.shape != (b, l):
-            raise ShapeError(f"pad_mask shape {pad_mask.shape} != {(b, l)}")
-        key_keep = ~pad_mask
-
     traces = []
     layer_caches = []
     x = X
     for lp in params.layers:
-        if params.pre_norm:
-            n1, ln1c = _layernorm_forward(x, lp.ln1_gain, lp.ln1_bias)
-            x1, alpha, mha_c = _mha_forward(n1, lp, params.num_heads, key_keep)
-            x1 += x
-            n2, ln2c = _layernorm_forward(x1, lp.ln2_gain, lp.ln2_bias)
-            x_next, ffn_c = _ffn_forward(n2, lp)
-            x_next += x1
-        else:
-            a_out, alpha, mha_c = _mha_forward(x, lp, params.num_heads, key_keep)
-            a_out += x
-            x1, ln1c = _layernorm_forward(a_out, lp.ln1_gain, lp.ln1_bias)
-            f_out, ffn_c = _ffn_forward(x1, lp)
-            f_out += x1
-            x_next, ln2c = _layernorm_forward(f_out, lp.ln2_gain, lp.ln2_bias)
+        a_out, alpha, mha_c = _mha_forward(x, lp, params.num_heads)
+        a_out += x
+        x1, ln1c = _layernorm_forward(a_out, lp.ln1_gain, lp.ln1_bias)
+        f_out, ffn_c = _ffn_forward(x1, lp)
+        f_out += x1
+        x, ln2c = _layernorm_forward(f_out, lp.ln2_gain, lp.ln2_bias)
         traces.append(alpha)
         layer_caches.append((mha_c, ln1c, ffn_c, ln2c))
-        x = x_next
     return x, traces, [params, layer_caches]
 
 
@@ -496,41 +475,29 @@ def transformer_batch_backward(cache, d_out: np.ndarray):
         reversed(params.layers), reversed(layer_caches)
     ):
         g: dict[str, np.ndarray] = {}
-        if params.pre_norm:
-            # x_next = x1 + ffn(ln2(x1));  x1 = x + mha(ln1(x))
-            d_n2, ffn_g = _ffn_backward(dx, ffn_c, lp)
-            g.update(ffn_g)
-            d_ln2_in, g["ln2_gain"], g["ln2_bias"] = _layernorm_backward(d_n2, ln2c)
-            d_x1 = dx + d_ln2_in
-            d_n1, mha_g = _mha_backward(d_x1, mha_c, lp, params.num_heads)
-            g.update(mha_g)
-            d_ln1_in, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_n1, ln1c)
-            dx = d_x1 + d_ln1_in
-        else:
-            # x_next = ln2(x1 + ffn(x1))
-            d_r2, g["ln2_gain"], g["ln2_bias"] = _layernorm_backward(dx, ln2c)
-            d_x1, ffn_g = _ffn_backward(d_r2, ffn_c, lp)
-            g.update(ffn_g)
-            d_x1 += d_r2
-            # x1 = ln1(x + mha(x))
-            d_r1, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_x1, ln1c)
-            dx, mha_g = _mha_backward(d_r1, mha_c, lp, params.num_heads)
-            g.update(mha_g)
-            dx += d_r1
+        # x_next = ln2(x1 + ffn(x1))
+        d_r2, g["ln2_gain"], g["ln2_bias"] = _layernorm_backward(dx, ln2c)
+        d_x1, ffn_g = _ffn_backward(d_r2, ffn_c, lp)
+        g.update(ffn_g)
+        d_x1 += d_r2
+        # x1 = ln1(x + mha(x))
+        d_r1, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_x1, ln1c)
+        dx, mha_g = _mha_backward(d_r1, mha_c, lp, params.num_heads)
+        g.update(mha_g)
+        dx += d_r1
         grads.append(g)
     grads.reverse()
     return dx, grads
 
 
 def transformer_forward(
-    X: Matrix, params: TransformerParams, pad_mask=None
+    X: Matrix, params: TransformerParams
 ) -> tuple[Matrix, list[np.ndarray], list]:
-    """Single-example encoder: X is (L, model_dim), pad_mask length L."""
+    """Single-example encoder: X is (L, model_dim)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("expected a 2-D token matrix")
-    pm = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[None]
-    out, traces, cache = transformer_batch_forward(X[None], params, pm)
+    out, traces, cache = transformer_batch_forward(X[None], params)
     return out[0], [t[0] for t in traces], cache
 
 

@@ -232,7 +232,8 @@ def _random_spans(rng: SeededRng, num_tokens: int) -> list[tuple[int, int]]:
 def gradcheck_fusion(
     instances: int = 100, seed: int = 9, eps: float = 1e-5, hops: int = 2
 ) -> float:
-    """Full hop loop with shared weights across hops; 12 tokens, 3 entities."""
+    """Full hop loop with one weight set tied across hops, so each weight's
+    gradient is the sum of its per-hop gradients; 12 tokens, 3 entities."""
     rng = SeededRng(seed)
     worst = 0.0
     for case in range(instances):
@@ -249,15 +250,15 @@ def gradcheck_fusion(
                 mix=r.normal((d + w, d)),
             )
             weights = r.normal((l, d))
-            out, _, cache = fusion_block_forward(C0, graph, asg, params, hops)
-            hop_caches = cache[0]
+            out, _, hop_caches = fusion_block_forward(C0, graph, asg, [params] * hops)
             for pool_c, att_c, unpool_c in hop_caches:
                 if not _clear_of_kinks(att_c.pre[0], att_c.agg[0], unpool_c.pre[0]):
                     return None
                 if not _pool_tie_free(pool_c.C, spans):
                     return None
-            dC0, grads = fusion_block_backward(cache, weights)
-            analytic = _pack([dC0, grads["proj"], grads["attn_vec"], grads["mix"]])
+            dC0, per_hop = fusion_block_backward(hop_caches, weights)
+            tied = [sum(g[k] for g in per_hop) for k in ("proj", "attn_vec", "mix")]
+            analytic = _pack([dC0, *tied])
             templates = [C0, params.attention.proj, params.attention.attn_vec, params.mix]
             theta0 = _pack(templates)
 
@@ -266,7 +267,7 @@ def gradcheck_fusion(
                 p = FusionParams(
                     attention=GraphAttentionParams(proj=proj, attn_vec=vec), mix=mix
                 )
-                o, _, _ = fusion_block_forward(c0, graph, asg, p, hops)
+                o, _, _ = fusion_block_forward(c0, graph, asg, [p] * hops)
                 return float((weights * o).sum())
 
             return theta0, analytic, loss
@@ -275,13 +276,7 @@ def gradcheck_fusion(
     return worst
 
 
-def gradcheck_transformer(
-    instances: int = 100,
-    seed: int = 10,
-    eps: float = 1e-5,
-    pre_norm: bool = False,
-    with_padding: bool = False,
-) -> float:
+def gradcheck_transformer(instances: int = 100, seed: int = 10, eps: float = 1e-5) -> float:
     rng = SeededRng(seed)
     worst = 0.0
     for case in range(instances):
@@ -289,16 +284,11 @@ def gradcheck_transformer(
             l = int(r.integers(3, 6))
             d, heads, ffn = 6, 2, 5
             params = init_transformer_params(
-                r.split(1), num_layers=2, model_dim=d, num_heads=heads, ffn_dim=ffn,
-                pre_norm=pre_norm,
+                r.split(1), num_layers=2, model_dim=d, num_heads=heads, ffn_dim=ffn
             )
             X = r.normal((l, d))
-            pad = None
-            if with_padding and l >= 4:
-                pad = np.zeros(l, dtype=bool)
-                pad[-1] = True
             weights = r.normal((l, d))
-            out, _, cache = transformer_forward(X, params, pad)
+            out, _, cache = transformer_forward(X, params)
             # only the FFN ReLU has a kink; softmax and layer norm are smooth
             for _, (_, _, ffn_c, _) in zip(params.layers, cache[1]):
                 if not _clear_of_kinks(ffn_c[1][0]):
@@ -325,10 +315,8 @@ def gradcheck_transformer(
                 for i in range(len(params.layers)):
                     chunk = rest[i * per : (i + 1) * per]
                     layers.append(TransformerLayerParams(**dict(zip(names, chunk))))
-                p = TransformerParams(
-                    layers=layers, model_dim=d, num_heads=heads, pre_norm=pre_norm
-                )
-                o, _, _ = transformer_forward(x, p, pad)
+                p = TransformerParams(layers=layers, model_dim=d, num_heads=heads)
+                o, _, _ = transformer_forward(x, p)
                 return float((weights * o).sum())
 
             return theta0, analytic, loss

@@ -13,6 +13,7 @@ violated.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -115,10 +116,10 @@ def cmd_build_graph(args) -> int:
             }
         )
     _dump_json({"graphs": rows}, out / "graphs.json")
-    with open(out / "graph_density.csv", "w", encoding="utf-8") as fh:
-        fh.write("id,density\n")
-        for r in rows:
-            fh.write(f"{r['id']},{r['density']!r}\n")
+    with open(out / "graph_density.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["id", "density"])
+        w.writerows([r["id"], repr(r["density"])] for r in rows)
     print(f"built {len(rows)} graphs -> {out / 'graphs.json'}")
     return 0
 
@@ -180,12 +181,18 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_train(args) -> int:
     if args.dataset:
         (cfg,) = _build_configs(args, ExperimentConfig)
+    else:
+        cfg, task = _build_configs(args, ExperimentConfig, SyntheticTaskConfig)
+    if args.emit_traces and cfg.variant != "transformer":
+        raise ValidationError(
+            "--emit-traces: attention traces are exported from the transformer variant"
+        )
+    if args.dataset:
         if not args.labels:
             raise ValidationError("--labels is required with --dataset")
         examples = load_context_examples(args.dataset)
         labels = _labels_for(examples, args.labels)
     else:
-        cfg, task = _build_configs(args, ExperimentConfig, SyntheticTaskConfig)
         examples, labels = generate_synthetic(task)
     out = _out_dir(args)
     data = prepare_task_data(examples, labels, n_test=args.test_count)
@@ -217,11 +224,12 @@ def cmd_eval_density(args) -> int:
     bins, accuracy = density_bins(model, data, np.arange(data.n), _quantiles(args))
     doc = {"variant": model.cfg.variant, "accuracy": accuracy, "bins": bins}
     _dump_json(doc, out / "density_eval.json")
-    with open(out / "density_eval.csv", "w", encoding="utf-8") as fh:
-        fh.write("quantile,boundary_density,bin_size,accuracy\n")
+    with open(out / "density_eval.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["quantile", "boundary_density", "bin_size", "accuracy"])
         for b in bins:
             acc = "" if b["accuracy"] is None else repr(b["accuracy"])
-            fh.write(f"{b['quantile']},{b['boundary_density']!r},{b['size']},{acc}\n")
+            w.writerow([b["quantile"], repr(b["boundary_density"]), b["size"], acc])
     print(f"eval-density: accuracy {accuracy:.4f} over {data.n} examples")
     return 0
 

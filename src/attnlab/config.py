@@ -2,13 +2,18 @@
 
 One assignment per line, ``#`` comments, values parsed as int, float,
 bool, or string in that order. Keys mirror the experiment and task
-config dataclass fields.
+config dataclass fields, and each value must fit its field's type: a bool
+takes only true/false, an int only an integral number, a float any
+number.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import fields
 from pathlib import Path
+
+from .errors import ValidationError
 
 
 def _parse_value(text: str):
@@ -45,10 +50,31 @@ def parse_override(text: str) -> tuple[str, object]:
     return key.strip(), _parse_value(val)
 
 
+def _coerce(key: str, value, kind: type):
+    """``value`` as a ``kind``; ValidationError when it is not one."""
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        hint = " (true or false)" if kind is bool else ""
+        raise ValidationError(f"config key {key}: expected {kind.__name__}{hint}, got {value!r}")
+    return kind(value)
+
+
 def build_dataclass(cls, values: dict, used: set[str] | None = None):
-    """Instantiate ``cls`` from the subset of ``values`` matching its fields."""
-    names = {f.name for f in fields(cls)}
-    kwargs = {k: v for k, v in values.items() if k in names}
+    """Instantiate ``cls`` from the subset of ``values`` matching its fields,
+    each coerced to the field's annotated type."""
+    types = typing.get_type_hints(cls)
+    kwargs = {
+        f.name: _coerce(f.name, values[f.name], types[f.name])
+        for f in fields(cls)
+        if f.name in values
+    }
     if used is not None:
         used.update(kwargs)
     return cls(**kwargs)

@@ -1,5 +1,9 @@
 """Token/node bridging and the hop loop that alternates between them.
 
+The hop loop takes one parameter set per hop. The graph_attention and
+self_attention variants both train through it and differ only in its
+``fully_connected`` flag, which swaps the adjacency for all-ones.
+
 One hop pools token representations into per-entity node states
 (mean-max over each entity's token span, giving width 2d), updates the
 nodes with masked graph attention, and writes the updated nodes back
@@ -33,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
-    GraphAttentionCache,
     GraphAttentionParams,
     _flat_mm,
     _outer_grad,
@@ -222,50 +225,35 @@ def init_fusion_params(
     return FusionParams(attention=att, mix=mix).validate()
 
 
-def _hop_params(params, hops: int) -> list[FusionParams]:
-    if isinstance(params, FusionParams):
-        return [params] * hops
-    params = list(params)
-    if len(params) != hops:
-        raise ShapeError(f"got {len(params)} hop parameter sets for {hops} hops")
-    return params
-
-
 def fusion_batch_forward(
     C: np.ndarray,
     adjacency: np.ndarray,
     assignment: SpanAssignment,
-    params,
-    hops: int,
+    params: Sequence[FusionParams],
     fully_connected: bool = False,
 ):
-    """Run ``hops`` rounds of pool -> attend -> back-project, batched.
-
-    ``params`` is a single FusionParams (weights shared across hops) or a
-    sequence with one entry per hop. With ``fully_connected`` the
-    adjacency is replaced by all-ones, the degenerate unmasked case.
+    """Run one round of pool -> attend -> back-project per entry of
+    ``params``, batched. With ``fully_connected`` the adjacency is
+    replaced by all-ones, the degenerate unmasked case.
     """
-    if hops < 1:
+    if not params:
         raise ValidationError("hop count must be >= 1")
-    plist = [p.validate() for p in _hop_params(params, hops)]
     adj = np.ones_like(adjacency) if fully_connected else adjacency
     traces = []
     hop_caches = []
     x = C
-    for p in plist:
+    for p in params:
+        p.validate()
         nodes, pool_c = pool_batch_forward(x, assignment)
         upd, alpha, att_c = graph_attention_batch_forward(nodes, adj, p.attention)
         x, unpool_c = unpool_batch_forward(x, upd, assignment, p.mix)
         traces.append(alpha)
         hop_caches.append((pool_c, att_c, unpool_c))
-    shared = isinstance(params, FusionParams)
-    return x, traces, (hop_caches, plist, shared)
+    return x, traces, hop_caches
 
 
-def fusion_batch_backward(cache, d_out: np.ndarray):
-    """Returns (dC, grads) where grads is one dict per hop parameter set
-    (a single summed dict when the forward shared one set across hops)."""
-    hop_caches, plist, shared = cache
+def fusion_batch_backward(hop_caches, d_out: np.ndarray):
+    """Returns (dC, grads) where grads holds one dict per hop."""
     per_hop = []
     dx = d_out
     for pool_c, att_c, unpool_c in reversed(hop_caches):
@@ -274,12 +262,6 @@ def fusion_batch_backward(cache, d_out: np.ndarray):
         dx = dC_direct + pool_batch_backward(pool_c, d_nodes)
         per_hop.append({"proj": d_proj, "attn_vec": d_vec, "mix": d_mix})
     per_hop.reverse()
-    if shared:
-        total = per_hop[0]
-        for g in per_hop[1:]:
-            for k in total:
-                total[k] = total[k] + g[k]
-        return dx, total
     return dx, per_hop
 
 
@@ -287,8 +269,7 @@ def fusion_block_forward(
     C0: Matrix,
     graph: EntityGraph,
     assignment: SpanAssignment,
-    params,
-    hops: int,
+    params: Sequence[FusionParams],
     fully_connected: bool = False,
 ):
     """Single-example hop loop; returns (tokens, per-hop traces, cache)."""
@@ -298,7 +279,7 @@ def fusion_block_forward(
     if graph.n != assignment.num_entities:
         raise ShapeError("graph node count disagrees with span assignment")
     out, traces, cache = fusion_batch_forward(
-        C0[None], graph.adjacency[None], assignment, params, hops, fully_connected
+        C0[None], graph.adjacency[None], assignment, params, fully_connected
     )
     return out[0], [t[0] for t in traces], cache
 

@@ -4,10 +4,8 @@ A head's score contrasts the absolute attention mass arriving at
 entity-token columns against the mass arriving at the remaining columns.
 The default uses per-column-group means so that masks with many entity
 tokens do not trivially score high; the raw-sum variant (no averaging)
-is available and reported alongside. Scoring direction defaults to
-columns (keys); a row mode applies the same formulas to the transpose,
-which for row-stochastic inputs is degenerate by construction and exists
-only for completeness.
+is available and reported alongside. Scores read the columns (keys):
+every row of a trace sums to one, so row totals carry no signal.
 """
 
 from __future__ import annotations
@@ -69,13 +67,11 @@ def head_entity_score(
     A: Matrix,
     entity_mask: np.ndarray,
     mode: str = "colmean",
-    direction: str = "columns",
 ) -> float:
     """Entity-column incoming mass minus non-entity-column mass.
 
     mode "colmean" averages the per-column totals inside each group;
-    "rawsum" adds them up without averaging. direction "rows" scores the
-    transposed matrix instead.
+    "rawsum" adds them up without averaging.
     """
     A = np.asarray(A, dtype=np.float64)
     mask = np.asarray(entity_mask, dtype=bool)
@@ -85,10 +81,6 @@ def head_entity_score(
         raise ShapeError("mask length must match the matrix")
     if mask.all() or not mask.any():
         raise ValueError("score needs both entity and non-entity tokens")
-    if direction == "rows":
-        A = A.T
-    elif direction != "columns":
-        raise ValueError(f"unknown direction {direction!r}")
     col_totals = np.abs(A).sum(axis=0)
     if mode == "colmean":
         return float(col_totals[mask].mean() - col_totals[~mask].mean())
@@ -100,7 +92,6 @@ def head_entity_score(
 def rank_heads(
     traces: Sequence[AttentionTrace],
     mode: str = "colmean",
-    direction: str = "columns",
 ) -> list[tuple[int, int, float]]:
     """Average per-head scores over examples; descending, ties by index."""
     if not traces:
@@ -113,7 +104,7 @@ def rank_heads(
             raise ShapeError("traces disagree on layer/head geometry")
         for li, heads in enumerate(tr.layers):
             for hi, A in enumerate(heads):
-                totals[li, hi] += head_entity_score(A, tr.entity_mask, mode, direction)
+                totals[li, hi] += head_entity_score(A, tr.entity_mask, mode)
     means = totals / len(traces)
     ranked = sorted(
         ((li, hi, float(means[li, hi])) for li in range(shape[0]) for hi in range(shape[1])),

@@ -1,10 +1,8 @@
-"""Dense float64 primitives: validated matmul, stable softmax, activations,
-a seeded splittable RNG, and the central-difference gradient oracle that
-every analytic backward pass in this package is checked against.
+"""Dense float64 primitives: a finiteness guard, activations, a seeded
+splittable RNG, and the central-difference gradient oracle that every
+analytic backward pass in this package is checked against.
 
-A "matrix" throughout the package is a C-contiguous 2-D ``numpy.ndarray``
-of float64. Helpers here validate that contract; operations never return
-NaN or Inf silently.
+A "matrix" throughout the package is a 2-D ``numpy.ndarray`` of float64.
 """
 
 from __future__ import annotations
@@ -13,47 +11,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 Matrix = np.ndarray
-
-
-def as_matrix(values, rows: int | None = None, cols: int | None = None) -> Matrix:
-    """Coerce nested sequences or an ndarray to a float64 2-D array."""
-    m = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"expected {cols} cols, got {m.shape[1]}")
-    return m
 
 
 def assert_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{what} contains non-finite entries")
     return a
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with explicit shape checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return assert_finite(a @ b, "matmul result")
-
-
-def softmax_row(v) -> np.ndarray:
-    """Stable softmax of a 1-D vector (max subtraction before exp)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax_row expects a non-empty 1-D vector")
-    assert_finite(v, "softmax input")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def relu(x):

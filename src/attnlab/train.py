@@ -4,22 +4,21 @@ Four variants share token embeddings, learned per-position vectors, and
 an answer scorer over node states; they differ only in the reasoning
 stack between embedding and scoring:
 
-* ``graph_attention``: hop layers of pool -> masked attention -> token
-  back-projection, with the final hop scored directly from its updated
-  node states.
-* ``self_attention``: the identical computation with an all-ones
-  adjacency. Because it runs through the same code path, a
-  ``graph_attention`` run with ``force_fully_connected`` set produces
-  bit-identical losses step for step.
-* ``transformer``: a post-norm encoder stack over tokens, mean-max
-  pooled into node states for scoring.
-* ``none``: no reasoning layers at all; scores come straight from
-  pooled embeddings. Per-node features cannot see the question, so this
-  baseline hovers near chance and anchors the comparison.
+* ``graph_attention``: ``fusion``'s hop loop (pool -> masked attention
+  -> token back-projection) with one parameter set per hop.
+* ``self_attention``: the same hop loop with its ``fully_connected``
+  flag set, which swaps the adjacency for all-ones. A
+  ``graph_attention`` run with ``force_fully_connected`` sets the same
+  flag, so the two produce bit-identical losses step for step.
+* ``transformer``: a post-norm encoder stack over tokens.
+* ``none``: no reasoning layers at all. Per-node features cannot see
+  the question, so this baseline hovers near chance and anchors the
+  comparison.
 
-All batched math reuses the module-level forward/backward internals, so
-the microscopic layer contracts and the training stack cannot drift
-apart.
+Every variant ends in the same tail: the reasoning stack's tokens are
+mean-max pooled into node states, which the scorer reads. The batched
+math is the layer modules' own forward/backward, so the layer contracts
+and the training stack cannot drift apart.
 """
 
 from __future__ import annotations
@@ -37,23 +36,21 @@ from .attention import (
     GraphAttentionParams,
     TransformerLayerParams,
     TransformerParams,
-    graph_attention_batch_backward,
-    graph_attention_batch_forward,
-    init_graph_attention_params,
     init_transformer_params,
     transformer_batch_backward,
     transformer_batch_forward,
 )
+from .config import build_dataclass
 from .entity_graph import ContextExample, build_graph, density, quantile_partition
-from .errors import NumericError, ShapeError, TrainingError, ValidationError
+from .errors import NumericError, TrainingError, ValidationError
 from .fusion import (
     FusionParams,
     SpanAssignment,
+    fusion_batch_backward,
+    fusion_batch_forward,
     init_fusion_params,
     pool_batch_backward,
     pool_batch_forward,
-    unpool_batch_backward,
-    unpool_batch_forward,
 )
 from .head_probe import AttentionTrace
 from .numerics import SeededRng
@@ -213,7 +210,6 @@ def init_model_params(cfg: ExperimentConfig, data: TaskData, rng: SeededRng) -> 
             params[f"fusion.{t}.proj"] = fp.attention.proj
             params[f"fusion.{t}.attn_vec"] = fp.attention.attn_vec
             params[f"fusion.{t}.mix"] = fp.mix
-        params["scorer"] = rng.split(40).normal((2 * d,), 1.0 / np.sqrt(2 * d))
     elif cfg.variant == "transformer":
         tfp = init_transformer_params(
             rng.split(20), cfg.hops, d, cfg.num_heads, ffn_dim=d
@@ -221,9 +217,7 @@ def init_model_params(cfg: ExperimentConfig, data: TaskData, rng: SeededRng) -> 
         for i, lp in enumerate(tfp.layers):
             for name, arr in lp.arrays().items():
                 params[f"tf.{i}.{name}"] = arr
-        params["scorer"] = rng.split(40).normal((2 * d,), 1.0 / np.sqrt(2 * d))
-    else:
-        params["scorer"] = rng.split(40).normal((2 * d,), 1.0 / np.sqrt(2 * d))
+    params["scorer"] = rng.split(40).normal((2 * d,), 1.0 / np.sqrt(2 * d))
     return params
 
 
@@ -280,38 +274,20 @@ def _transformer_view(params: dict, cfg: ExperimentConfig) -> TransformerParams:
 # ---------------------------------------------------------------------------
 
 
-def _variant_adjacency(cfg: ExperimentConfig, adjacency: np.ndarray) -> np.ndarray:
-    if cfg.variant == "self_attention" or cfg.force_fully_connected:
-        return np.ones_like(adjacency)
-    return adjacency
-
-
 def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.ndarray):
     """Scores (B, N) over answer nodes plus the cache for backward."""
     tok = data.token_ids[idx]
-    x0 = params["embed"][tok] + params["pos"][None, :, :]
-    asg = data.assignment
-    scorer = params["scorer"]
-    if cfg.variant == "none":
-        nodes, pool_c = pool_batch_forward(x0, asg)
-        scores = nodes @ scorer
-        return scores, ("none", tok, pool_c, nodes)
+    x = params["embed"][tok] + params["pos"][None, :, :]
+    body_cache = None
     if cfg.variant == "transformer":
-        xt, traces, tf_cache = transformer_batch_forward(x0, _transformer_view(params, cfg))
-        nodes, pool_c = pool_batch_forward(xt, asg)
-        scores = nodes @ scorer
-        return scores, ("transformer", tok, tf_cache, pool_c, nodes, traces)
-    adj = _variant_adjacency(cfg, data.adjacency[idx])
-    hop_caches = []
-    x = x0
-    for fp in _fusion_views(params, cfg):
-        nodes, pc = pool_batch_forward(x, asg)
-        upd, _, ac = graph_attention_batch_forward(nodes, adj, fp.attention)
-        x, uc = unpool_batch_forward(x, upd, asg, fp.mix)
-        hop_caches.append((pc, ac, uc))
-    nodes, pc_last = pool_batch_forward(x, asg)
-    scores = nodes @ scorer
-    return scores, ("graph", tok, hop_caches, pc_last, nodes)
+        x, _, body_cache = transformer_batch_forward(x, _transformer_view(params, cfg))
+    elif cfg.variant != "none":
+        fully_connected = cfg.variant == "self_attention" or cfg.force_fully_connected
+        x, _, body_cache = fusion_batch_forward(
+            x, data.adjacency[idx], data.assignment, _fusion_views(params, cfg), fully_connected
+        )
+    nodes, pool_c = pool_batch_forward(x, data.assignment)
+    return nodes @ params["scorer"], (tok, body_cache, pool_c, nodes)
 
 
 def _scorer_grad(d_scores: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -326,38 +302,21 @@ def _embedding_grad(vocab_size: int, tok: np.ndarray, dx0: np.ndarray) -> np.nda
 
 
 def model_backward(cfg: ExperimentConfig, params: dict, cache, d_scores: np.ndarray) -> dict:
-    grads: dict[str, np.ndarray] = {}
-    scorer = params["scorer"]
-    kind = cache[0]
-    if kind == "none":
-        _, tok, pool_c, nodes = cache
-        grads["scorer"] = _scorer_grad(d_scores, nodes)
-        d_nodes = d_scores[:, :, None] * scorer
-        dx0 = pool_batch_backward(pool_c, d_nodes)
-    elif kind == "transformer":
-        _, tok, tf_cache, pool_c, nodes, _ = cache
-        grads["scorer"] = _scorer_grad(d_scores, nodes)
-        d_nodes = d_scores[:, :, None] * scorer
-        d_xt = pool_batch_backward(pool_c, d_nodes)
-        dx0, layer_grads = transformer_batch_backward(tf_cache, d_xt)
+    tok, body_cache, pool_c, nodes = cache
+    grads = {"scorer": _scorer_grad(d_scores, nodes)}
+    dx = pool_batch_backward(pool_c, d_scores[:, :, None] * params["scorer"])
+    if body_cache is not None:
+        if cfg.variant == "transformer":
+            dx, layer_grads = transformer_batch_backward(body_cache, dx)
+            prefix = "tf"
+        else:
+            dx, layer_grads = fusion_batch_backward(body_cache, dx)
+            prefix = "fusion"
         for i, g in enumerate(layer_grads):
             for name, arr in g.items():
-                grads[f"tf.{i}.{name}"] = arr
-    else:
-        _, tok, hop_caches, pc_last, nodes = cache
-        grads["scorer"] = _scorer_grad(d_scores, nodes)
-        d_nodes = d_scores[:, :, None] * scorer
-        dx = pool_batch_backward(pc_last, d_nodes)
-        for t, (pc, ac, uc) in zip(range(len(hop_caches) - 1, -1, -1), reversed(hop_caches)):
-            dC_direct, d_nodes_upd, d_mix = unpool_batch_backward(uc, dx)
-            d_nodes, d_proj, d_vec = graph_attention_batch_backward(ac, d_nodes_upd)
-            grads[f"fusion.{t}.mix"] = d_mix
-            grads[f"fusion.{t}.proj"] = d_proj
-            grads[f"fusion.{t}.attn_vec"] = d_vec
-            dx = dC_direct + pool_batch_backward(pc, d_nodes)
-        dx0 = dx
-    grads["embed"] = _embedding_grad(params["embed"].shape[0], tok, dx0)
-    grads["pos"] = dx0.sum(axis=0)
+                grads[f"{prefix}.{i}.{name}"] = arr
+    grads["embed"] = _embedding_grad(params["embed"].shape[0], tok, dx)
+    grads["pos"] = dx.sum(axis=0)
     return grads
 
 
@@ -495,7 +454,7 @@ def _checkpoint_config(meta: dict) -> ExperimentConfig:
     unknown = sorted(set(values) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValidationError(f"unknown config key(s) {', '.join(unknown)}")
-    return ExperimentConfig(**values).validate()
+    return build_dataclass(ExperimentConfig, values).validate()
 
 
 @dataclass

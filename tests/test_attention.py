@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from attnlab.attention import (
     GraphAttentionParams,
@@ -14,6 +16,8 @@ from attnlab.errors import ShapeError, ValidationError
 from attnlab.numerics import SeededRng
 from attnlab.reference import loop_graph_attention
 from oracles import gather_scatter_softmax
+
+finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 def random_instance(rng: SeededRng, n=None, d_in=None, d_out=None, p_edge=0.5):
@@ -162,3 +166,26 @@ def test_masked_softmax_is_bit_equal_to_gather_scatter(shape):
         assert np.array_equal(scores, before)
         off = out[~mask]
         assert (off == 0.0).all() and not np.signbit(off).any()
+
+
+def test_masked_softmax_symmetry_and_stability():
+    full = np.ones(2, dtype=bool)
+    for v in (0.0, 1000.0, -1000.0):
+        np.testing.assert_allclose(masked_softmax(np.full(2, v), full), [0.5, 0.5], atol=0)
+
+
+def test_masked_softmax_frozen_high_precision_reference():
+    # reference computed with 50-digit arithmetic on exp normalization
+    expected = [0.090030573170380457998, 0.24472847105479765247, 0.66524095577482188953]
+    out = masked_softmax(np.array([1.0, 2.0, 3.0]), np.ones(3, dtype=bool))
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=12), finite_floats)
+def test_masked_softmax_sums_to_one_and_shift_invariant(values, shift):
+    full = np.ones(len(values), dtype=bool)
+    out = masked_softmax(np.array(values), full)
+    assert abs(out.sum() - 1.0) <= 1e-12
+    assert np.all(out >= 0.0)
+    shifted = masked_softmax(np.array(values) + shift, full)
+    np.testing.assert_allclose(out, shifted, atol=1e-12)

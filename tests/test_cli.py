@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from attnlab.cli import main
+from attnlab.entity_graph import load_context_examples
 from attnlab.head_probe import AttentionTrace, save_traces
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic, write_dataset_jsonl, write_labels_jsonl
 from oracles import planted_trace_layers
@@ -165,6 +168,48 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build-graph", "--input", str(data), "--set", "hidden_dim=8"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["force_fully_connected=no", "force_fully_connected=1", "epochs=abc", "hidden_dim=8.5"],
+)
+def test_mistyped_config_value_is_rejected(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    # the other overrides keep the run short should the value slip through
+    rc = main(["train", "--set", "hidden_dim=4", "--set", "epochs=1", "--set", "num_examples=40",
+               "--set", override, "--test-count", "10", "--out", str(out)])
+    assert rc == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_emit_traces_without_transformer_fails_before_training(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["train", "--set", "variant=none", "--set", "epochs=1", "--set", "hidden_dim=4",
+               "--set", "num_examples=60", "--test-count", "20", "--emit-traces", "5",
+               "--out", str(out)])
+    assert rc == 2
+    assert "transformer" in capsys.readouterr().err
+    assert not list(out.glob("model_*.json"))
+
+
+def test_graph_density_csv_quotes_ids(tmp_path):
+    data, _ = small_dataset(tmp_path, n=3)
+    odd = 'doc 1, "para" 2'
+    examples = load_context_examples(data)
+    examples[0] = dataclasses.replace(examples[0], id=odd)
+    write_dataset_jsonl(examples, data)
+    out = tmp_path / "out"
+    assert main(["build-graph", "--input", str(data), "--out", str(out)]) == 0
+    text = (out / "graph_density.csv").read_text()
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["id", "density"]
+    assert [len(r) for r in rows] == [2] * 4
+    assert rows[1][0] == odd
+    # ids that need no quoting keep their plain bytes
+    graphs = json.loads((out / "graphs.json").read_text())["graphs"]
+    assert text.splitlines()[2] == f"{examples[1].id},{graphs[1]['density']!r}"
 
 
 def test_labels_missing_a_dataset_id_is_rejected(tmp_path, capsys):

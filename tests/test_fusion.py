@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attnlab.attention import identity_graph_attention_params, init_graph_attention_params
+from attnlab.attention import init_graph_attention_params
 from attnlab.checks import gradcheck_fusion, gradcheck_graph2doc
 from attnlab.entity_graph import EntityGraph
 from attnlab.errors import ShapeError, ValidationError
@@ -166,7 +166,7 @@ def test_fusion_single_hop_equals_manual_composition():
         mix=rng.split(1).normal((2 * d, d)),
     )
     C0 = rng.normal((L, d))
-    out, traces, _ = fusion_block_forward(C0, graph, asg, params, hops=1)
+    out, traces, _ = fusion_block_forward(C0, graph, asg, [params])
 
     from attnlab.attention import graph_attention_forward
 
@@ -189,9 +189,9 @@ def test_fusion_degeneracy_lifts_through_pipeline():
     )
     C0 = rng.normal((L, d))
     for hops in (1, 2, 3):
-        masked, _, _ = fusion_block_forward(C0, graph, asg, params, hops)
+        masked, _, _ = fusion_block_forward(C0, graph, asg, [params] * hops)
         unmasked, _, _ = fusion_block_forward(
-            C0, graph, asg, params, hops, fully_connected=True
+            C0, graph, asg, [params] * hops, fully_connected=True
         )
         assert np.array_equal(masked, unmasked)
 
@@ -209,11 +209,9 @@ def test_fusion_no_nan_and_per_hop_params():
         )
         for i in range(2)
     ]
-    out, traces, _ = fusion_block_forward(rng.normal((L, d)), graph, asg, plist, hops=2)
+    out, traces, _ = fusion_block_forward(rng.normal((L, d)), graph, asg, plist)
     assert np.isfinite(out).all()
     assert len(traces) == 2
-    with pytest.raises(ShapeError):
-        fusion_block_forward(rng.normal((L, d)), graph, asg, plist, hops=3)
 
 
 def test_gradcheck_graph2doc_and_fusion_small():

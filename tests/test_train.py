@@ -1,3 +1,4 @@
+import json
 import platform
 import resource
 import tracemalloc
@@ -82,9 +83,8 @@ def test_variant_gradients_match_finite_differences(variant):
 
 
 def test_batched_forward_matches_per_example_modules():
-    from attnlab.attention import GraphAttentionParams, graph_attention_forward
-    from attnlab.fusion import FusionParams, SpanAssignment, fusion_block_forward
-    from attnlab.entity_graph import EntityGraph, build_graph
+    from attnlab.fusion import fusion_block_forward
+    from attnlab.entity_graph import build_graph
 
     data = small_data(n=10, n_test=2)
     cfg = small_cfg("graph_attention", hidden_dim=8)
@@ -99,7 +99,7 @@ def test_batched_forward_matches_per_example_modules():
     for row, i in enumerate(idx):
         x0 = params["embed"][data.token_ids[i]] + params["pos"]
         graph = build_graph(data.examples[i])
-        out, _, _ = fusion_block_forward(x0, graph, asg, plist, hops=cfg.hops)
+        out, _, _ = fusion_block_forward(x0, graph, asg, plist)
         from attnlab.fusion import tok2graph_meanmax
 
         nodes, _ = tok2graph_meanmax(out, asg)
@@ -230,6 +230,17 @@ def test_checkpoint_without_format_loads_as_before(tmp_path):
     assert np.array_equal(
         loaded.predict_scores(data, data.test_idx), model.predict_scores(data, data.test_idx)
     )
+
+
+def test_checkpoint_with_mistyped_config_is_rejected(tmp_path):
+    data = small_data(n=40, n_test=30)
+    path = tmp_path / "model.json"
+    untrained_model("graph_attention", data).save(path)
+    doc = json.loads(path.read_text())
+    doc["meta"]["config"]["force_fully_connected"] = "no"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="force_fully_connected"):
+        TrainedModel.load(path)
 
 
 def _working_peak(fn) -> int:
