@@ -9,8 +9,10 @@ One JSON line per model (graph_attention, graph_attention with
 ``force_fully_connected``, self_attention, transformer and none; width
 48, 2 epochs, 400 synthetic examples of which 100 are held out) holds the
 loss curve as ``float.hex``, the sha256 of the parameters in sorted-name
-order and the sha256 of the held-out scores. A last line holds the
-``run_gradcheck_suite(5, 3)`` errors as ``float.hex``. The script imports
+order and the sha256 of the held-out scores. The next line holds the
+``run_gradcheck_suite(5, 3)`` errors as ``float.hex``, and a last line
+the ``degeneracy_suite(200, 2024)`` maximum deviations (masked vs. self
+attention, and vs. the loop reference) as ``float.hex``. The script imports
 attnlab from the ``src`` directory next to it, so it measures the tree it
 lives in.
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from attnlab.checks import run_gradcheck_suite  # noqa: E402
+from attnlab.checks import degeneracy_suite, run_gradcheck_suite  # noqa: E402
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic  # noqa: E402
 from attnlab.train import ExperimentConfig, prepare_task_data, train  # noqa: E402
 
@@ -36,6 +38,7 @@ MODELS = (
     ("none", False),
 )
 GRADCHECK_KEYS = ("graph_attention", "graph2doc", "fusion_block", "transformer")
+DEGENERACY_KEYS = ("max_pair_deviation", "max_loop_deviation")
 
 
 def _sha256(arrays) -> str:
@@ -63,6 +66,8 @@ def main() -> None:
         print(json.dumps(line, sort_keys=True))
     errors = run_gradcheck_suite(5, 3)
     print(json.dumps({"gradcheck": {k: errors[k].hex() for k in GRADCHECK_KEYS}}, sort_keys=True))
+    dev = degeneracy_suite(200, 2024)
+    print(json.dumps({"degeneracy": {k: dev[k].hex() for k in DEGENERACY_KEYS}}, sort_keys=True))
 
 
 if __name__ == "__main__":

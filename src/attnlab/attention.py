@@ -32,25 +32,34 @@ from .numerics import (
     assert_finite,
     leaky_relu,
     leaky_relu_grad,
+    mean_along,
     relu,
     relu_grad_mask,
 )
 
 
-def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def masked_softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis restricted to ``mask`` (boolean).
 
     Excluded entries are left out of both the max subtraction and the
     normalization, and come back as exact 0.0, not tiny floats.
+    ``mask=None`` keeps every key. It gives the same bits as an all-true
+    mask, whose ``where(mask, scores, -inf)`` is a copy of the scores,
+    without building or checking that mask.
     """
-    if scores.shape != mask.shape:
-        raise ShapeError(f"scores {scores.shape} vs mask {mask.shape}")
-    if not mask.any(axis=-1).all():
-        raise ValidationError("softmax row with empty support")
-    out = np.where(mask, scores, -np.inf)
-    out -= out.max(axis=-1, keepdims=True)
+    if mask is None:
+        if scores.shape[-1] == 0:
+            raise ValidationError("softmax row with empty support")
+        out = scores.copy()
+    else:
+        if scores.shape != mask.shape:
+            raise ShapeError(f"scores {scores.shape} vs mask {mask.shape}")
+        if not mask.any(axis=-1).all():
+            raise ValidationError("softmax row with empty support")
+        out = np.where(mask, scores, -np.inf)
+    out -= np.maximum.reduce(out, axis=-1, keepdims=True)
     np.exp(out, out=out)  # exp(-inf) is an exact 0.0
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
@@ -124,15 +133,14 @@ class GraphAttentionCache:
 
 
 def _check_adjacency(adj: np.ndarray) -> np.ndarray:
+    # elementwise compares: NaN equals neither 0 nor 1, so it is rejected too
     if adj.shape[-1] != adj.shape[-2]:
         raise ShapeError(f"adjacency must be square, got {adj.shape}")
-    vals = np.unique(adj)
-    if not np.all(np.isin(vals, (0.0, 1.0))):
+    if not ((adj == 0.0) | (adj == 1.0)).all():
         raise ValidationError("adjacency entries must be 0 or 1")
-    diag = np.diagonal(adj, axis1=-2, axis2=-1)
-    if not np.all(diag == 1.0):
+    if not (np.diagonal(adj, axis1=-2, axis2=-1) == 1.0).all():
         raise ValidationError("adjacency diagonal must be all ones (self-loops)")
-    if not np.array_equal(adj, np.swapaxes(adj, -1, -2)):
+    if not (adj == np.swapaxes(adj, -1, -2)).all():
         raise ValidationError("adjacency must be symmetric")
     return adj
 
@@ -339,10 +347,9 @@ def init_transformer_params(
 
 
 def _layernorm_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
+    xhat = x - mean_along(x, -1, keepdims=True)
     out = np.square(xhat)
-    inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LN_EPS)
+    inv_std = 1.0 / np.sqrt(mean_along(out, -1, keepdims=True) + LN_EPS)
     xhat *= inv_std
     np.multiply(xhat, gain, out=out)
     out += bias
@@ -357,8 +364,8 @@ def _layernorm_backward(dy, ln_cache):
     d_bias = dy.sum(axis=lead)
     dx = dy * gain  # dxhat
     np.multiply(dx, xhat, out=scratch)
-    proj = scratch.mean(axis=-1, keepdims=True)
-    dx -= dx.mean(axis=-1, keepdims=True)
+    proj = mean_along(scratch, -1, keepdims=True)
+    dx -= mean_along(dx, -1, keepdims=True)
     dx -= np.multiply(xhat, proj, out=scratch)
     dx *= inv_std
     return dx, d_gain, d_bias
@@ -390,7 +397,7 @@ def _mha_forward(x, lp: TransformerLayerParams, num_heads):
     k = _split_heads(_flat_mm(x, lp.wk), num_heads)
     v = _split_heads(_flat_mm(x, lp.wv), num_heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    alpha = masked_softmax(scores, np.broadcast_to(True, scores.shape))
+    alpha = masked_softmax(scores)
     ctx = alpha @ v
     merged = _merge_heads(ctx)
     out = _flat_mm(merged, lp.wo)

@@ -17,6 +17,8 @@ import numpy as np
 
 from .attention import (
     GraphAttentionParams,
+    TransformerLayerParams,
+    TransformerParams,
     graph_attention_backward,
     graph_attention_forward,
     init_graph_attention_params,
@@ -53,14 +55,19 @@ def _pack(arrays) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 
-def _unpack(vec: np.ndarray, templates):
-    out = []
+def _layout(templates) -> list[tuple[int, int, tuple]]:
+    """(start, stop, shape) of each template's slice of the packed vector;
+    computed once per case so a loss call only slices and reshapes."""
+    layout = []
     pos = 0
     for t in templates:
-        size = int(np.prod(t.shape)) if t.shape else 1
-        out.append(vec[pos : pos + size].reshape(t.shape))
-        pos += size
-    return out
+        layout.append((pos, pos + t.size, t.shape))
+        pos += t.size
+    return layout
+
+
+def _unpack(vec: np.ndarray, layout):
+    return [vec[start:stop].reshape(shape) for start, stop, shape in layout]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +175,10 @@ def gradcheck_graph_attention(instances: int = 100, seed: int = 7, eps: float = 
             analytic = _pack([dH, d_proj, d_vec])
             templates = [H, params.proj, params.attn_vec]
             theta0 = _pack(templates)
+            layout = _layout(templates)
 
             def loss(theta: np.ndarray) -> float:
-                h, proj, vec = _unpack(theta, templates)
+                h, proj, vec = _unpack(theta, layout)
                 p = GraphAttentionParams(proj=proj, attn_vec=vec, leaky_slope=params.leaky_slope)
                 o, _, _ = graph_attention_forward(h, adj, p)
                 return float((weights * o).sum())
@@ -204,9 +212,10 @@ def gradcheck_graph2doc(instances: int = 100, seed: int = 8, eps: float = 1e-5) 
             analytic = _pack([dC, d_nodes, d_mix])
             templates = [C, nodes, mix]
             theta0 = _pack(templates)
+            layout = _layout(templates)
 
             def loss(theta: np.ndarray) -> float:
-                c, nd, mx = _unpack(theta, templates)
+                c, nd, mx = _unpack(theta, layout)
                 o, _ = graph2doc(c, nd, asg, mx)
                 return float((weights * o).sum())
 
@@ -261,9 +270,10 @@ def gradcheck_fusion(
             analytic = _pack([dC0, *tied])
             templates = [C0, params.attention.proj, params.attention.attn_vec, params.mix]
             theta0 = _pack(templates)
+            layout = _layout(templates)
 
             def loss(theta: np.ndarray) -> float:
-                c0, proj, vec, mix = _unpack(theta, templates)
+                c0, proj, vec, mix = _unpack(theta, layout)
                 p = FusionParams(
                     attention=GraphAttentionParams(proj=proj, attn_vec=vec), mix=mix
                 )
@@ -303,18 +313,15 @@ def gradcheck_transformer(instances: int = 100, seed: int = 10, eps: float = 1e-
             analytic = _pack(tensors)
             theta0 = _pack(templates)
             names = sorted(params.layers[0].arrays())
+            per = len(names)
+            layout = _layout(templates)
 
             def loss(theta: np.ndarray) -> float:
-                parts = _unpack(theta, templates)
-                x = parts[0]
-                rest = parts[1:]
-                from .attention import TransformerLayerParams, TransformerParams
-
-                layers = []
-                per = len(names)
-                for i in range(len(params.layers)):
-                    chunk = rest[i * per : (i + 1) * per]
-                    layers.append(TransformerLayerParams(**dict(zip(names, chunk))))
+                x, *rest = _unpack(theta, layout)
+                layers = [
+                    TransformerLayerParams(**dict(zip(names, rest[i : i + per])))
+                    for i in range(0, len(rest), per)
+                ]
                 p = TransformerParams(layers=layers, model_dim=d, num_heads=heads)
                 o, _, _ = transformer_forward(x, p)
                 return float((weights * o).sum())

@@ -23,7 +23,13 @@ import numpy as np
 
 from . import checks
 from .config import build_dataclass, parse_config_file, parse_override
-from .entity_graph import build_graph, density, load_context_examples, quantile_partition
+from .entity_graph import (
+    build_graph,
+    check_quantiles,
+    density,
+    load_context_examples,
+    quantile_partition,
+)
 from .errors import GenerationError, TrainingError, ValidationError
 from .head_probe import head_report_rows, load_traces, write_head_report_csv
 from .synth import (
@@ -96,9 +102,18 @@ def _labels_for(examples, labels_path) -> list[int]:
 
 
 def _quantiles(args) -> tuple[float, ...]:
-    if not getattr(args, "quantiles", None):
+    """--quantiles parsed and checked; commands call this before any work."""
+    if not args.quantiles:
         return tuple(DEFAULT_QUANTILES)
-    return tuple(float(q) for q in args.quantiles.split(","))
+    try:
+        return tuple(check_quantiles(args.quantiles.split(",")))
+    except ValueError as exc:
+        raise ValidationError(f"--quantiles {args.quantiles!r}: {exc}") from None
+
+
+def _check_test_count(count: int, n: int) -> None:
+    if not 0 <= count < n:
+        raise ValidationError(f"--test-count {count}: must lie in [0, {n}) for {n} examples")
 
 
 def cmd_build_graph(args) -> int:
@@ -125,14 +140,15 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_density_report(args) -> int:
-    out = _out_dir(args)
+    quantiles = _quantiles(args)
     examples = load_context_examples(args.input)
     densities = []
     ids = []
     for ex in examples:
         densities.append(density(build_graph(ex)))
         ids.append(ex.id)
-    report = quantile_partition(densities, _quantiles(args), ids=ids)
+    report = quantile_partition(densities, quantiles, ids=ids)
+    out = _out_dir(args)
     _dump_json(report.to_json_dict(), out / "density_report.json")
     report.write_csv(out / "density_report.csv")
     print(f"density report over {len(ids)} examples -> {out / 'density_report.json'}")
@@ -179,6 +195,9 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_train(args) -> int:
+    quantiles = _quantiles(args)
+    if args.emit_traces < 0:
+        raise ValidationError(f"--emit-traces {args.emit_traces}: N must be >= 0")
     if args.dataset:
         (cfg,) = _build_configs(args, ExperimentConfig)
     else:
@@ -191,12 +210,14 @@ def cmd_train(args) -> int:
         if not args.labels:
             raise ValidationError("--labels is required with --dataset")
         examples = load_context_examples(args.dataset)
+        _check_test_count(args.test_count, len(examples))
         labels = _labels_for(examples, args.labels)
     else:
+        _check_test_count(args.test_count, task.num_examples)
         examples, labels = generate_synthetic(task)
-    out = _out_dir(args)
     data = prepare_task_data(examples, labels, n_test=args.test_count)
-    model, report = train(cfg, data, quantiles=_quantiles(args))
+    out = _out_dir(args)
+    model, report = train(cfg, data, quantiles=quantiles)
     stem = f"{cfg.variant}_seed{cfg.seed}"
     model.save(out / f"model_{stem}.json")
     _dump_json(report.to_json_dict(), out / f"metrics_{stem}.json")
@@ -216,12 +237,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_density(args) -> int:
-    out = _out_dir(args)
+    quantiles = _quantiles(args)
     model = TrainedModel.load(args.model)
     examples = load_context_examples(args.dataset)
     labels = _labels_for(examples, args.labels)
     data = model.prepare(examples, labels)
-    bins, accuracy = density_bins(model, data, np.arange(data.n), _quantiles(args))
+    bins, accuracy = density_bins(model, data, np.arange(data.n), quantiles)
+    out = _out_dir(args)
     doc = {"variant": model.cfg.variant, "accuracy": accuracy, "bins": bins}
     _dump_json(doc, out / "density_eval.json")
     with open(out / "density_eval.csv", "w", newline="", encoding="utf-8") as fh:

@@ -194,6 +194,17 @@ class DensityReport:
                 w.writerow([b.quantile, repr(b.boundary_density), b.size])
 
 
+def check_quantiles(quantiles: Sequence[float | str]) -> list[float]:
+    """The quantiles as floats; raises ValueError unless they are a
+    non-empty, strictly increasing sequence of numbers in (0, 1]."""
+    qs = [float(q) for q in quantiles]
+    if not qs or any(not (0.0 < q <= 1.0) for q in qs):
+        raise ValueError("quantiles must lie in (0, 1]")
+    if any(b <= a for a, b in zip(qs, qs[1:])):
+        raise ValueError("quantiles must be strictly increasing")
+    return qs
+
+
 def quantile_partition(
     densities: Sequence[float],
     quantiles: Sequence[float],
@@ -209,11 +220,7 @@ def quantile_partition(
     n = len(densities)
     if n == 0:
         raise ValueError("quantile_partition needs a non-empty density list")
-    qs = [float(q) for q in quantiles]
-    if not qs or any(not (0.0 < q <= 1.0) for q in qs):
-        raise ValueError("quantiles must lie in (0, 1]")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("quantiles must be strictly increasing")
+    qs = check_quantiles(quantiles)
     if qs[-1] < 1.0:
         qs.append(1.0)
     if ids is None:

@@ -45,7 +45,7 @@ from .attention import (
 )
 from .entity_graph import ContextExample, EntityGraph
 from .errors import ShapeError, ValidationError
-from .numerics import Matrix, SeededRng, relu, relu_grad_mask
+from .numerics import Matrix, SeededRng, mean_along, relu, relu_grad_mask
 
 
 class SpanAssignment:
@@ -101,8 +101,8 @@ def pool_batch_forward(C: np.ndarray, assignment: SpanAssignment):
     out = np.empty((b, assignment.num_entities, 2 * d))
     for i, (s, e) in enumerate(assignment.spans):
         block = C[:, s:e, :]
-        out[:, i, :d] = block.mean(axis=1)
-        out[:, i, d:] = block.max(axis=1)
+        out[:, i, :d] = mean_along(block, 1)
+        out[:, i, d:] = np.maximum.reduce(block, axis=1)
     return out, PoolCache(C=C, nodes=out, assignment=assignment)
 
 

@@ -17,9 +17,18 @@ Matrix = np.ndarray
 
 
 def assert_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError(f"{what} contains non-finite entries")
     return a
+
+
+def mean_along(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """``x.mean(axis, keepdims=keepdims)`` of a float64 array without
+    numpy's Python-level ``_mean`` wrapper: the same ``add.reduce``, then
+    the same true divide by the axis length, so the same bits."""
+    out = np.add.reduce(x, axis=axis, keepdims=keepdims)
+    out /= x.shape[axis]
+    return out
 
 
 def relu(x):

@@ -257,3 +257,44 @@ def gather_scatter_softmax(scores, mask):
     out[mask] = np.exp((scores - rowmax)[mask])
     out /= out.sum(axis=-1, keepdims=True)
     return out
+
+
+# Plain numpy forms of the package's fast paths: each fast path is tested
+# bit-equal (or error-equal) against its form here.
+
+
+def where_mask_softmax(scores, mask):
+    """Masked softmax through a full ``where`` pass and ndarray methods."""
+    out = np.where(mask, scores, -np.inf)
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def prod_unpack(vec, templates):
+    """Split a packed vector by each template's ``np.prod(shape)``."""
+    out = []
+    pos = 0
+    for t in templates:
+        size = int(np.prod(t.shape)) if t.shape else 1
+        out.append(vec[pos : pos + size].reshape(t.shape))
+        pos += size
+    return out
+
+
+def unique_check_adjacency(adj):
+    """Adjacency validation through ``np.unique``, ``np.isin`` and ``array_equal``."""
+    from attnlab.errors import ShapeError, ValidationError
+
+    if adj.shape[-1] != adj.shape[-2]:
+        raise ShapeError(f"adjacency must be square, got {adj.shape}")
+    vals = np.unique(adj)
+    if not np.all(np.isin(vals, (0.0, 1.0))):
+        raise ValidationError("adjacency entries must be 0 or 1")
+    diag = np.diagonal(adj, axis1=-2, axis2=-1)
+    if not np.all(diag == 1.0):
+        raise ValidationError("adjacency diagonal must be all ones (self-loops)")
+    if not np.array_equal(adj, np.swapaxes(adj, -1, -2)):
+        raise ValidationError("adjacency must be symmetric")
+    return adj

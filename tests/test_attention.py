@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from attnlab.attention import (
+    _check_adjacency,
     GraphAttentionParams,
     graph_attention_backward,
     graph_attention_forward,
@@ -15,7 +16,7 @@ from attnlab.attention import (
 from attnlab.errors import ShapeError, ValidationError
 from attnlab.numerics import SeededRng
 from attnlab.reference import loop_graph_attention
-from oracles import gather_scatter_softmax
+from oracles import gather_scatter_softmax, unique_check_adjacency, where_mask_softmax
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -189,3 +190,51 @@ def test_masked_softmax_sums_to_one_and_shift_invariant(values, shift):
     assert np.all(out >= 0.0)
     shifted = masked_softmax(np.array(values) + shift, full)
     np.testing.assert_allclose(out, shifted, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 2, 5, 5), (3, 4, 28, 28)])
+def test_masked_softmax_without_mask_is_the_all_true_mask(shape):
+    rng = np.random.default_rng(9)
+    scores = rng.normal(0.0, 6.0, shape)
+    before = scores.copy()
+    out = masked_softmax(scores)
+    assert np.array_equal(out, where_mask_softmax(scores, np.ones(shape, dtype=bool)))
+    assert np.array_equal(out, masked_softmax(scores, np.broadcast_to(True, shape)))
+    assert np.array_equal(scores, before)
+    with pytest.raises(ValidationError):
+        masked_softmax(np.zeros((2, 0)))
+
+
+def _adjacency_outcome(check, adj):
+    try:
+        check(adj)
+    except (ShapeError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_check_adjacency_rejects_and_accepts_as_the_unique_version():
+    rng = np.random.default_rng(10)
+    sym = (rng.random((5, 5)) < 0.5).astype(np.float64)
+    sym = np.maximum(sym, sym.T)
+    np.fill_diagonal(sym, 1.0)
+    nan, two, neg = sym.copy(), sym.copy(), sym.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    two[2, 3] = two[3, 2] = 2.0
+    neg[1, 4] = neg[4, 1] = -1.0
+    asym = sym.copy()
+    asym[0, 1], asym[1, 0] = 1.0, 0.0
+    hollow = sym.copy()
+    hollow[2, 2] = 0.0
+    bad = [nan, two, neg, asym, hollow, np.ones((3, 4)), np.ones((2, 3, 4)), np.stack([sym, two])]
+    for adj in bad:
+        got = _adjacency_outcome(_check_adjacency, adj)
+        assert got is not None
+        assert got == _adjacency_outcome(unique_check_adjacency, adj)
+    signed_zero = sym.copy()
+    signed_zero[sym == 0.0] = -0.0
+    good = [sym, np.ones((4, 4)), np.eye(3), signed_zero, np.stack([sym, np.eye(5)]),
+            np.ones((1, 1)), np.ones((0, 0))]
+    for adj in good:
+        assert _adjacency_outcome(unique_check_adjacency, adj) is None
+        assert _check_adjacency(adj) is adj

@@ -194,6 +194,55 @@ def test_emit_traces_without_transformer_fails_before_training(tmp_path, capsys)
     assert not list(out.glob("model_*.json"))
 
 
+def _refuse_generation(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("generated data before checking the flags")
+
+    monkeypatch.setattr("attnlab.cli.generate_synthetic", refuse)
+
+
+def test_negative_emit_traces_is_rejected_before_generation(tmp_path, capsys, monkeypatch):
+    _refuse_generation(monkeypatch)
+    out = tmp_path / "out"
+    rc = main(["train", "--set", "variant=transformer", "--set", "epochs=1",
+               "--set", "hidden_dim=8", "--set", "num_heads=2", "--set", "num_examples=60",
+               "--test-count", "20", "--emit-traces", "-3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--emit-traces" in err and "-3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.5,abc", "0.5,0.4", "0,1", "0.5,nan", "1.5"])
+def test_bad_quantiles_are_rejected_before_any_work(tmp_path, capsys, monkeypatch, value):
+    _refuse_generation(monkeypatch)
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing.jsonl")  # never opened: the flag is checked first
+    for argv in (
+        ["train", "--set", "variant=none", "--set", "epochs=1", "--set", "hidden_dim=8",
+         "--set", "num_examples=60", "--test-count", "20"],
+        ["eval-density", "--model", missing, "--dataset", missing, "--labels", missing],
+        ["density-report", "--input", missing],
+    ):
+        assert main(argv + ["--quantiles", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--quantiles" in err and repr(value) in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["-1", "60", "61"])
+def test_test_count_out_of_range_is_rejected(tmp_path, capsys, monkeypatch, count):
+    data, labs = small_dataset(tmp_path, n=60)
+    _refuse_generation(monkeypatch)
+    out = tmp_path / "out"
+    short = ["--set", "variant=none", "--set", "epochs=1", "--set", "hidden_dim=8"]
+    for source in (["--set", "num_examples=60"], ["--dataset", str(data), "--labels", str(labs)]):
+        assert main(["train", *short, *source, "--test-count", count, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--test-count {count}" in err, err
+        assert not out.exists()
+
+
 def test_graph_density_csv_quotes_ids(tmp_path):
     data, _ = small_dataset(tmp_path, n=3)
     odd = 'doc 1, "para" 2'
