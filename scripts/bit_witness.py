@@ -9,7 +9,10 @@ One JSON line per model (graph_attention, graph_attention with
 ``force_fully_connected``, self_attention, transformer and none; width
 48, 2 epochs, 400 synthetic examples of which 100 are held out) holds the
 loss curve as ``float.hex``, the sha256 of the parameters in sorted-name
-order and the sha256 of the held-out scores. The next line holds the
+order, the sha256 of the held-out scores and the sha256 of the bytes of
+the saved checkpoint. The transformer line also holds the sha256 of the
+attention traces ``transformer_traces`` exports for the first 8 held-out
+examples (every head's matrix, layer by layer). The next line holds the
 ``run_gradcheck_suite(5, 3)`` errors as ``float.hex``, and a last line
 the ``degeneracy_suite(200, 2024)`` maximum deviations (masked vs. self
 attention, and vs. the loop reference) as ``float.hex``. The script imports
@@ -22,13 +25,19 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from attnlab.checks import degeneracy_suite, run_gradcheck_suite  # noqa: E402
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic  # noqa: E402
-from attnlab.train import ExperimentConfig, prepare_task_data, train  # noqa: E402
+from attnlab.train import (  # noqa: E402
+    ExperimentConfig,
+    prepare_task_data,
+    train,
+    transformer_traces,
+)
 
 MODELS = (
     ("graph_attention", False),
@@ -37,6 +46,7 @@ MODELS = (
     ("transformer", False),
     ("none", False),
 )
+TRACE_EXAMPLES = 8
 GRADCHECK_KEYS = ("graph_attention", "graph2doc", "fusion_block", "transformer")
 DEGENERACY_KEYS = ("max_pair_deviation", "max_loop_deviation")
 
@@ -51,19 +61,28 @@ def _sha256(arrays) -> str:
 def main() -> None:
     examples, labels = generate_synthetic(SyntheticTaskConfig(num_examples=400))
     data = prepare_task_data(examples, labels, n_test=100)
-    for variant, fully_connected in MODELS:
-        cfg = ExperimentConfig(
-            variant=variant, hidden_dim=48, epochs=2, force_fully_connected=fully_connected
-        )
-        model, report = train(cfg, data)
-        line = {
-            "variant": variant,
-            "force_fully_connected": fully_connected,
-            "loss_curve": [float(x).hex() for x in report.loss_curve],
-            "params_sha256": _sha256(model.params[k] for k in sorted(model.params)),
-            "heldout_scores_sha256": _sha256([model.predict_scores(data, data.test_idx)]),
-        }
-        print(json.dumps(line, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        for variant, fully_connected in MODELS:
+            cfg = ExperimentConfig(
+                variant=variant, hidden_dim=48, epochs=2, force_fully_connected=fully_connected
+            )
+            model, report = train(cfg, data)
+            ckpt = Path(tmp) / "model.json"
+            model.save(ckpt)
+            line = {
+                "variant": variant,
+                "force_fully_connected": fully_connected,
+                "loss_curve": [float(x).hex() for x in report.loss_curve],
+                "params_sha256": _sha256(model.params[k] for k in sorted(model.params)),
+                "heldout_scores_sha256": _sha256([model.predict_scores(data, data.test_idx)]),
+                "checkpoint_sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
+            }
+            if variant == "transformer":
+                traces = transformer_traces(model, data, data.test_idx[:TRACE_EXAMPLES])
+                line["traces_sha256"] = _sha256(
+                    head for t in traces for layer in t.layers for head in layer
+                )
+            print(json.dumps(line, sort_keys=True))
     errors = run_gradcheck_suite(5, 3)
     print(json.dumps({"gradcheck": {k: errors[k].hex() for k in GRADCHECK_KEYS}}, sort_keys=True))
     dev = degeneracy_suite(200, 2024)

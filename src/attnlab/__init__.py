@@ -4,8 +4,6 @@ baselines, a synthetic two-hop retrieval task, and attention-head
 entity-pattern probing."""
 
 from .attention import (
-    GraphAttentionParams,
-    TransformerParams,
     graph_attention_backward,
     graph_attention_forward,
     self_attention_forward,
@@ -22,7 +20,6 @@ from .entity_graph import (
     quantile_partition,
 )
 from .fusion import (
-    FusionParams,
     SpanAssignment,
     fusion_block_backward,
     fusion_block_forward,

@@ -14,6 +14,14 @@ The transformer is post-norm (layer norm after each residual add) and
 attends over every token: batches share one token layout, so there is
 no padding to mask.
 
+Weights are plain dicts of arrays keyed by the short names a checkpoint
+uses, where ``train`` prefixes them with the layer (``fusion.0.proj``,
+``tf.1.wq``). Graph attention reads ``{"proj", "attn_vec"}``; a
+transformer layer reads ``wq wk wv wo w1 b1 w2 b2 ln1_gain ln1_bias
+ln2_gain ln2_bias``. The hyperparameters are arguments (``leaky_slope``,
+``num_heads``), widths come from the array shapes, and each layer checks
+the shapes it relies on where the weights enter.
+
 Internally every operation is batched over a leading axis; the public
 single-example API wraps batch size 1. The trainer reuses the batched
 internals directly.
@@ -67,58 +75,16 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.nda
 # graph attention
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class GraphAttentionParams:
-    """Input projection, additive attention vector, LeakyReLU slope.
-
-    ``attn_vec`` scores the concatenation [g_i, g_j] of two projected
-    node states, so its length is twice the projection width.
-    """
-
-    proj: Matrix  # (d_in, d_out)
-    attn_vec: np.ndarray  # (2 * d_out,)
-    leaky_slope: float = 0.2
-
-    def validate(self) -> "GraphAttentionParams":
-        if self.proj.ndim != 2:
-            raise ShapeError("proj must be 2-D")
-        if self.attn_vec.ndim != 1 or self.attn_vec.size != 2 * self.proj.shape[1]:
-            raise ShapeError(
-                f"attn_vec length {self.attn_vec.size} != 2 x proj cols {self.proj.shape[1]}"
-            )
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValidationError("leaky_slope must lie in (0, 1)")
-        return self
-
-    @property
-    def d_in(self) -> int:
-        return self.proj.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.proj.shape[1]
+LEAKY_SLOPE = 0.2
 
 
-def init_graph_attention_params(
-    rng: SeededRng, d_in: int, d_out: int, leaky_slope: float = 0.2, scale: float | None = None
-) -> GraphAttentionParams:
-    if scale is None:
-        scale = float(np.sqrt(2.0 / (d_in + d_out)))
-    return GraphAttentionParams(
-        proj=rng.normal((d_in, d_out), scale),
-        attn_vec=rng.normal((2 * d_out,), scale),
-        leaky_slope=leaky_slope,
-    ).validate()
-
-
-def identity_graph_attention_params(d: int, leaky_slope: float = 0.2) -> GraphAttentionParams:
-    """Projection fixed to the identity: the layer aggregates raw states."""
-    return GraphAttentionParams(
-        proj=np.eye(d, dtype=np.float64),
-        attn_vec=np.zeros(2 * d, dtype=np.float64),
-        leaky_slope=leaky_slope,
-    )
+def init_graph_attention_params(rng: SeededRng, d_in: int, d_out: int) -> dict[str, np.ndarray]:
+    """``{"proj": (d_in, d_out), "attn_vec": (2 * d_out,)}``, Glorot-scaled."""
+    scale = float(np.sqrt(2.0 / (d_in + d_out)))
+    return {
+        "proj": rng.normal((d_in, d_out), scale),
+        "attn_vec": rng.normal((2 * d_out,), scale),
+    }
 
 
 @dataclass
@@ -129,7 +95,9 @@ class GraphAttentionCache:
     pre: np.ndarray
     alpha: np.ndarray
     agg: np.ndarray
-    params: GraphAttentionParams
+    proj: Matrix
+    attn_vec: np.ndarray
+    leaky_slope: float
 
 
 def _check_adjacency(adj: np.ndarray) -> np.ndarray:
@@ -146,33 +114,45 @@ def _check_adjacency(adj: np.ndarray) -> np.ndarray:
 
 
 def graph_attention_batch_forward(
-    H: np.ndarray, adjacency: np.ndarray, params: GraphAttentionParams
+    H: np.ndarray, adjacency: np.ndarray, params: dict, leaky_slope: float = LEAKY_SLOPE
 ) -> tuple[np.ndarray, np.ndarray, GraphAttentionCache]:
-    """Batched masked attention. H: (B, N, d_in), adjacency: (B, N, N)."""
-    params.validate()
+    """Batched masked attention. H: (B, N, d_in), adjacency: (B, N, N).
+
+    ``params`` holds ``proj`` (d_in, d_out) and ``attn_vec`` (2 * d_out,),
+    which scores the concatenation [g_i, g_j] of two projected node states.
+    Other keys are ignored.
+    """
+    proj, attn_vec = params["proj"], params["attn_vec"]
+    if proj.ndim != 2:
+        raise ShapeError("proj must be 2-D")
+    d_out = proj.shape[1]
+    if attn_vec.ndim != 1 or attn_vec.size != 2 * d_out:
+        raise ShapeError(f"attn_vec length {attn_vec.size} != 2 x proj cols {d_out}")
     if H.ndim != 3 or adjacency.ndim != 3:
         raise ShapeError("batched inputs must have a leading batch axis")
     if H.shape[1] != adjacency.shape[1] or adjacency.shape[0] != H.shape[0]:
         raise ShapeError(f"node counts differ: H {H.shape}, adjacency {adjacency.shape}")
-    if H.shape[2] != params.d_in:
-        raise ShapeError(f"state width {H.shape[2]} != proj rows {params.d_in}")
+    if H.shape[2] != proj.shape[0]:
+        raise ShapeError(f"state width {H.shape[2]} != proj rows {proj.shape[0]}")
     _check_adjacency(adjacency)
     assert_finite(H, "node states")
 
-    d_out = params.d_out
-    a_src = params.attn_vec[:d_out]
-    a_dst = params.attn_vec[d_out:]
+    a_src = attn_vec[:d_out]
+    a_dst = attn_vec[d_out:]
     b, n, d_in = H.shape
-    g = (H.reshape(-1, d_in) @ params.proj).reshape(b, n, d_out)
+    g = (H.reshape(-1, d_in) @ proj).reshape(b, n, d_out)
     src = g @ a_src  # (B, N)
     dst = g @ a_dst  # (B, N)
     pre = src[:, :, None] + dst[:, None, :]  # (B, N, N)
-    beta = leaky_relu(pre, params.leaky_slope)
+    beta = leaky_relu(pre, leaky_slope)
     mask = adjacency > 0.5
     alpha = masked_softmax(beta, mask)
     agg = alpha @ g  # (B, N, d_out)
     out = relu(agg)
-    cache = GraphAttentionCache(H=H, mask=mask, g=g, pre=pre, alpha=alpha, agg=agg, params=params)
+    cache = GraphAttentionCache(
+        H=H, mask=mask, g=g, pre=pre, alpha=alpha, agg=agg,
+        proj=proj, attn_vec=attn_vec, leaky_slope=leaky_slope,
+    )
     return out, alpha, cache
 
 
@@ -180,14 +160,13 @@ def graph_attention_batch_backward(
     cache: GraphAttentionCache, d_out_states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dH, d_proj, d_attn_vec) for the batched forward."""
-    p = cache.params
     if d_out_states.shape != cache.agg.shape:
         raise ShapeError(
             f"cotangent shape {d_out_states.shape} != output shape {cache.agg.shape}"
         )
-    dW = p.d_out
-    a_src = p.attn_vec[:dW]
-    a_dst = p.attn_vec[dW:]
+    dW = cache.proj.shape[1]
+    a_src = cache.attn_vec[:dW]
+    a_dst = cache.attn_vec[dW:]
 
     d_agg = d_out_states * relu_grad_mask(cache.agg)
     d_alpha = d_agg @ cache.g.transpose(0, 2, 1)
@@ -196,7 +175,7 @@ def graph_attention_batch_backward(
     # masked softmax backward; rows of alpha are zero off-mask, so d_beta is too
     rho = np.sum(cache.alpha * d_alpha, axis=-1, keepdims=True)
     d_beta = cache.alpha * (d_alpha - rho)
-    d_pre = d_beta * leaky_relu_grad(cache.pre, p.leaky_slope)
+    d_pre = d_beta * leaky_relu_grad(cache.pre, cache.leaky_slope)
 
     d_src = d_pre.sum(axis=-1)  # (B, N)
     d_dst = d_pre.sum(axis=-2)  # (B, N)
@@ -208,12 +187,12 @@ def graph_attention_batch_backward(
     b, n, d_in = cache.H.shape
     dg_flat = dg.reshape(-1, dW)
     d_proj = cache.H.reshape(-1, d_in).T @ dg_flat
-    dH = (dg_flat @ p.proj.T).reshape(b, n, d_in)
+    dH = (dg_flat @ cache.proj.T).reshape(b, n, d_in)
     return dH, d_proj, np.concatenate([d_a_src, d_a_dst])
 
 
 def graph_attention_forward(
-    H: Matrix, adjacency: Matrix, params: GraphAttentionParams
+    H: Matrix, adjacency: Matrix, params: dict, leaky_slope: float = LEAKY_SLOPE
 ) -> tuple[Matrix, Matrix, GraphAttentionCache]:
     """Single-example masked attention over an (N, d_in) state matrix.
 
@@ -224,19 +203,21 @@ def graph_attention_forward(
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if H.ndim != 2 or adjacency.ndim != 2:
         raise ShapeError("expected 2-D node states and adjacency")
-    out, alpha, cache = graph_attention_batch_forward(H[None], adjacency[None], params)
+    out, alpha, cache = graph_attention_batch_forward(
+        H[None], adjacency[None], params, leaky_slope
+    )
     return out[0], alpha[0], cache
 
 
 def self_attention_forward(
-    H: Matrix, params: GraphAttentionParams
+    H: Matrix, params: dict, leaky_slope: float = LEAKY_SLOPE
 ) -> tuple[Matrix, Matrix, GraphAttentionCache]:
     """The fully-connected case: identical computation, all-ones adjacency."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
         raise ShapeError("expected 2-D node states")
     n = H.shape[0]
-    return graph_attention_forward(H, np.ones((n, n)), params)
+    return graph_attention_forward(H, np.ones((n, n)), params, leaky_slope)
 
 
 def graph_attention_backward(
@@ -257,88 +238,31 @@ def graph_attention_backward(
 LN_EPS = 1e-5
 
 
-@dataclass
-class TransformerLayerParams:
-    wq: Matrix
-    wk: Matrix
-    wv: Matrix
-    wo: Matrix
-    w1: Matrix
-    b1: np.ndarray
-    w2: Matrix
-    b2: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo,
-            "w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-            "ln1_gain": self.ln1_gain, "ln1_bias": self.ln1_bias,
-            "ln2_gain": self.ln2_gain, "ln2_bias": self.ln2_bias,
-        }
-
-
-@dataclass
-class TransformerParams:
-    layers: list[TransformerLayerParams]
-    model_dim: int
-    num_heads: int
-
-    def validate(self) -> "TransformerParams":
-        if not self.layers:
-            raise ValidationError("need at least one layer")
-        if self.model_dim % self.num_heads != 0:
-            raise ValidationError(
-                f"head count {self.num_heads} must divide model_dim {self.model_dim}"
-            )
-        for lp in self.layers:
-            if lp.wq.shape != (self.model_dim, self.model_dim):
-                raise ShapeError("attention projections must be (model_dim, model_dim)")
-        return self
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
-
 def init_transformer_params(
-    rng: SeededRng,
-    num_layers: int,
-    model_dim: int,
-    num_heads: int,
-    ffn_dim: int | None = None,
-) -> TransformerParams:
-    if ffn_dim is None:
-        ffn_dim = model_dim
+    rng: SeededRng, num_layers: int, model_dim: int, ffn_dim: int
+) -> list[dict[str, np.ndarray]]:
+    """One dict per layer: ``wq wk wv wo`` (d, d), ``w1`` (d, ffn), ``b1``,
+    ``w2`` (ffn, d), ``b2``, and the two layer norms' ``ln*_gain``/``ln*_bias``."""
     d = model_dim
     proj_scale = float(np.sqrt(1.0 / d))
     ffn_scale = float(np.sqrt(2.0 / (d + ffn_dim)))
-    layers = []
-    for _ in range(num_layers):
-        layers.append(
-            TransformerLayerParams(
-                wq=rng.normal((d, d), proj_scale),
-                wk=rng.normal((d, d), proj_scale),
-                wv=rng.normal((d, d), proj_scale),
-                wo=rng.normal((d, d), proj_scale),
-                w1=rng.normal((d, ffn_dim), ffn_scale),
-                b1=np.zeros(ffn_dim),
-                w2=rng.normal((ffn_dim, d), ffn_scale),
-                b2=np.zeros(d),
-                ln1_gain=np.ones(d),
-                ln1_bias=np.zeros(d),
-                ln2_gain=np.ones(d),
-                ln2_bias=np.zeros(d),
-            )
-        )
-    return TransformerParams(layers=layers, model_dim=d, num_heads=num_heads).validate()
+    return [
+        {
+            "wq": rng.normal((d, d), proj_scale),
+            "wk": rng.normal((d, d), proj_scale),
+            "wv": rng.normal((d, d), proj_scale),
+            "wo": rng.normal((d, d), proj_scale),
+            "w1": rng.normal((d, ffn_dim), ffn_scale),
+            "b1": np.zeros(ffn_dim),
+            "w2": rng.normal((ffn_dim, d), ffn_scale),
+            "b2": np.zeros(d),
+            "ln1_gain": np.ones(d),
+            "ln1_bias": np.zeros(d),
+            "ln2_gain": np.ones(d),
+            "ln2_bias": np.zeros(d),
+        }
+        for _ in range(num_layers)
+    ]
 
 
 # The elementwise layers below work in place on arrays they allocated
@@ -391,23 +315,23 @@ def _outer_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _mha_forward(x, lp: TransformerLayerParams, num_heads):
+def _mha_forward(x, lp: dict, num_heads):
     scale = 1.0 / np.sqrt(x.shape[-1] // num_heads)
-    q = _split_heads(_flat_mm(x, lp.wq), num_heads)
-    k = _split_heads(_flat_mm(x, lp.wk), num_heads)
-    v = _split_heads(_flat_mm(x, lp.wv), num_heads)
+    q = _split_heads(_flat_mm(x, lp["wq"]), num_heads)
+    k = _split_heads(_flat_mm(x, lp["wk"]), num_heads)
+    v = _split_heads(_flat_mm(x, lp["wv"]), num_heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     alpha = masked_softmax(scores)
     ctx = alpha @ v
     merged = _merge_heads(ctx)
-    out = _flat_mm(merged, lp.wo)
+    out = _flat_mm(merged, lp["wo"])
     return out, alpha, (x, q, k, v, alpha, merged, scale)
 
 
-def _mha_backward(d_out, mha_cache, lp: TransformerLayerParams, num_heads):
+def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
     x, q, k, v, alpha, merged, scale = mha_cache
     d_wo = _outer_grad(merged, d_out)
-    d_merged = _flat_mm(d_out, lp.wo.T)
+    d_merged = _flat_mm(d_out, lp["wo"].T)
     d_ctx = _split_heads(d_merged, num_heads)
     d_alpha = d_ctx @ v.transpose(0, 1, 3, 2)
     dv = alpha.transpose(0, 1, 3, 2) @ d_ctx
@@ -419,68 +343,76 @@ def _mha_backward(d_out, mha_cache, lp: TransformerLayerParams, num_heads):
     d_wq = _outer_grad(x, dqm)
     d_wk = _outer_grad(x, dkm)
     d_wv = _outer_grad(x, dvm)
-    dx = _flat_mm(dqm, lp.wq.T)
-    dx += _flat_mm(dkm, lp.wk.T)
-    dx += _flat_mm(dvm, lp.wv.T)
+    dx = _flat_mm(dqm, lp["wq"].T)
+    dx += _flat_mm(dkm, lp["wk"].T)
+    dx += _flat_mm(dvm, lp["wv"].T)
     return dx, {"wq": d_wq, "wk": d_wk, "wv": d_wv, "wo": d_wo}
 
 
-def _ffn_forward(x, lp: TransformerLayerParams):
-    pre = _flat_mm(x, lp.w1)
-    pre += lp.b1
+def _ffn_forward(x, lp: dict):
+    pre = _flat_mm(x, lp["w1"])
+    pre += lp["b1"]
     hidden = relu(pre)
-    out = _flat_mm(hidden, lp.w2)
-    out += lp.b2
+    out = _flat_mm(hidden, lp["w2"])
+    out += lp["b2"]
     return out, (x, pre, hidden)
 
 
-def _ffn_backward(d_out, ffn_cache, lp: TransformerLayerParams):
+def _ffn_backward(d_out, ffn_cache, lp: dict):
     x, pre, hidden = ffn_cache
     d_w2 = _outer_grad(hidden, d_out)
     d_b2 = d_out.sum(axis=(0, 1))
-    d_pre = _flat_mm(d_out, lp.w2.T)  # d_hidden
+    d_pre = _flat_mm(d_out, lp["w2"].T)  # d_hidden
     d_pre *= pre > 0.0
     d_w1 = _outer_grad(x, d_pre)
     d_b1 = d_pre.sum(axis=(0, 1))
-    dx = _flat_mm(d_pre, lp.w1.T)
+    dx = _flat_mm(d_pre, lp["w1"].T)
     return dx, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
 def transformer_batch_forward(
-    X: np.ndarray, params: TransformerParams
-) -> tuple[np.ndarray, list[np.ndarray], list]:
+    X: np.ndarray, layers: list[dict], num_heads: int
+) -> tuple[np.ndarray, list[np.ndarray], tuple]:
     """Post-norm encoder stack over (B, L, model_dim).
+
+    ``layers`` holds one dict per layer, as ``init_transformer_params``
+    makes them; ``wq`` of the first fixes model_dim.
 
     Returns final states, per-layer row-stochastic attention traces
     (B, heads, L, L), and the backward cache.
     """
-    params.validate()
-    if X.ndim != 3 or X.shape[-1] != params.model_dim:
-        raise ShapeError(f"expected (B, L, {params.model_dim}) input, got {X.shape}")
+    if not layers:
+        raise ValidationError("need at least one layer")
+    d = layers[0]["wq"].shape[0]
+    for lp in layers:
+        if lp["wq"].shape != (d, d):
+            raise ShapeError(f"wq must be (model_dim, model_dim), got {lp['wq'].shape}")
+    if d % num_heads != 0:
+        raise ValidationError(f"head count {num_heads} must divide model_dim {d}")
+    if X.ndim != 3 or X.shape[-1] != d:
+        raise ShapeError(f"expected (B, L, {d}) input, got {X.shape}")
     assert_finite(X, "transformer input")
     traces = []
     layer_caches = []
     x = X
-    for lp in params.layers:
-        a_out, alpha, mha_c = _mha_forward(x, lp, params.num_heads)
+    for lp in layers:
+        a_out, alpha, mha_c = _mha_forward(x, lp, num_heads)
         a_out += x
-        x1, ln1c = _layernorm_forward(a_out, lp.ln1_gain, lp.ln1_bias)
+        x1, ln1c = _layernorm_forward(a_out, lp["ln1_gain"], lp["ln1_bias"])
         f_out, ffn_c = _ffn_forward(x1, lp)
         f_out += x1
-        x, ln2c = _layernorm_forward(f_out, lp.ln2_gain, lp.ln2_bias)
+        x, ln2c = _layernorm_forward(f_out, lp["ln2_gain"], lp["ln2_bias"])
         traces.append(alpha)
         layer_caches.append((mha_c, ln1c, ffn_c, ln2c))
-    return x, traces, [params, layer_caches]
+    return x, traces, (layers, num_heads, layer_caches)
 
 
 def transformer_batch_backward(cache, d_out: np.ndarray):
     """Returns (dX, per-layer dict of parameter gradients)."""
-    params, layer_caches = cache
+    layers, num_heads, layer_caches = cache
     grads: list[dict[str, np.ndarray]] = []
     dx = d_out
-    for lp, (mha_c, ln1c, ffn_c, ln2c) in zip(
-        reversed(params.layers), reversed(layer_caches)
-    ):
+    for lp, (mha_c, ln1c, ffn_c, ln2c) in zip(reversed(layers), reversed(layer_caches)):
         g: dict[str, np.ndarray] = {}
         # x_next = ln2(x1 + ffn(x1))
         d_r2, g["ln2_gain"], g["ln2_bias"] = _layernorm_backward(dx, ln2c)
@@ -489,7 +421,7 @@ def transformer_batch_backward(cache, d_out: np.ndarray):
         d_x1 += d_r2
         # x1 = ln1(x + mha(x))
         d_r1, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_x1, ln1c)
-        dx, mha_g = _mha_backward(d_r1, mha_c, lp, params.num_heads)
+        dx, mha_g = _mha_backward(d_r1, mha_c, lp, num_heads)
         g.update(mha_g)
         dx += d_r1
         grads.append(g)
@@ -498,13 +430,13 @@ def transformer_batch_backward(cache, d_out: np.ndarray):
 
 
 def transformer_forward(
-    X: Matrix, params: TransformerParams
-) -> tuple[Matrix, list[np.ndarray], list]:
+    X: Matrix, layers: list[dict], num_heads: int
+) -> tuple[Matrix, list[np.ndarray], tuple]:
     """Single-example encoder: X is (L, model_dim)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("expected a 2-D token matrix")
-    out, traces, cache = transformer_batch_forward(X[None], params)
+    out, traces, cache = transformer_batch_forward(X[None], layers, num_heads)
     return out[0], [t[0] for t in traces], cache
 
 

@@ -6,6 +6,12 @@ and the acceptance tests. Gradient checks compare packed analytic
 gradients against ``finite_diff_grad`` with a norm-based relative error;
 instances are resampled until every activation preimage sits safely away
 from its kink so central differences stay clean.
+
+Each case packs its input and the layer's weights into one vector: the
+weights are the same name -> array dicts the layers take (``proj``,
+``attn_vec`` and ``mix`` for a hop; a transformer layer's twelve arrays
+in sorted-name order), and the loss closure slices the vector back into
+those dicts.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .attention import (
-    GraphAttentionParams,
-    TransformerLayerParams,
-    TransformerParams,
+    LEAKY_SLOPE,
     graph_attention_backward,
     graph_attention_forward,
     init_graph_attention_params,
@@ -29,7 +33,6 @@ from .attention import (
 )
 from .errors import NumericError
 from .fusion import (
-    FusionParams,
     SpanAssignment,
     fusion_block_backward,
     fusion_block_forward,
@@ -107,7 +110,7 @@ def degeneracy_suite(
         )
         if case < loop_instances:
             ref_out, ref_alpha = loop_graph_attention(
-                H, ones, params.proj, params.attn_vec, params.leaky_slope
+                H, ones, params["proj"], params["attn_vec"], LEAKY_SLOPE
             )
             max_loop = max(
                 max_loop,
@@ -173,14 +176,13 @@ def gradcheck_graph_attention(instances: int = 100, seed: int = 7, eps: float = 
                 return None
             dH, d_proj, d_vec = graph_attention_backward(cache, weights)
             analytic = _pack([dH, d_proj, d_vec])
-            templates = [H, params.proj, params.attn_vec]
+            templates = [H, params["proj"], params["attn_vec"]]
             theta0 = _pack(templates)
             layout = _layout(templates)
 
             def loss(theta: np.ndarray) -> float:
                 h, proj, vec = _unpack(theta, layout)
-                p = GraphAttentionParams(proj=proj, attn_vec=vec, leaky_slope=params.leaky_slope)
-                o, _, _ = graph_attention_forward(h, adj, p)
+                o, _, _ = graph_attention_forward(h, adj, {"proj": proj, "attn_vec": vec})
                 return float((weights * o).sum())
 
             return theta0, analytic, loss
@@ -254,10 +256,10 @@ def gradcheck_fusion(
             adj = _random_adjacency(r, n)
             graph = EntityGraph(n=n, mentions=[""] * n, adjacency=adj)
             C0 = r.normal((l, d))
-            params = FusionParams(
-                attention=init_graph_attention_params(r.split(1), 2 * d, w),
-                mix=r.normal((d + w, d)),
-            )
+            params = {
+                **init_graph_attention_params(r.split(1), 2 * d, w),
+                "mix": r.normal((d + w, d)),
+            }
             weights = r.normal((l, d))
             out, _, hop_caches = fusion_block_forward(C0, graph, asg, [params] * hops)
             for pool_c, att_c, unpool_c in hop_caches:
@@ -266,17 +268,16 @@ def gradcheck_fusion(
                 if not _pool_tie_free(pool_c.C, spans):
                     return None
             dC0, per_hop = fusion_block_backward(hop_caches, weights)
-            tied = [sum(g[k] for g in per_hop) for k in ("proj", "attn_vec", "mix")]
+            names = ("proj", "attn_vec", "mix")
+            tied = [sum(g[k] for g in per_hop) for k in names]
             analytic = _pack([dC0, *tied])
-            templates = [C0, params.attention.proj, params.attention.attn_vec, params.mix]
+            templates = [C0, *(params[k] for k in names)]
             theta0 = _pack(templates)
             layout = _layout(templates)
 
             def loss(theta: np.ndarray) -> float:
-                c0, proj, vec, mix = _unpack(theta, layout)
-                p = FusionParams(
-                    attention=GraphAttentionParams(proj=proj, attn_vec=vec), mix=mix
-                )
+                c0, *arrays = _unpack(theta, layout)
+                p = dict(zip(names, arrays))
                 o, _, _ = fusion_block_forward(c0, graph, asg, [p] * hops)
                 return float((weights * o).sum())
 
@@ -293,37 +294,26 @@ def gradcheck_transformer(instances: int = 100, seed: int = 10, eps: float = 1e-
         def build(r: SeededRng):
             l = int(r.integers(3, 6))
             d, heads, ffn = 6, 2, 5
-            params = init_transformer_params(
-                r.split(1), num_layers=2, model_dim=d, num_heads=heads, ffn_dim=ffn
-            )
+            layers = init_transformer_params(r.split(1), num_layers=2, model_dim=d, ffn_dim=ffn)
             X = r.normal((l, d))
             weights = r.normal((l, d))
-            out, _, cache = transformer_forward(X, params)
+            out, _, cache = transformer_forward(X, layers, heads)
             # only the FFN ReLU has a kink; softmax and layer norm are smooth
-            for _, (_, _, ffn_c, _) in zip(params.layers, cache[1]):
+            for _, _, ffn_c, _ in cache[2]:  # per-layer caches
                 if not _clear_of_kinks(ffn_c[1][0]):
                     return None
             dX, layer_grads = transformer_backward(cache, weights)
-            tensors = [dX]
-            templates = [X]
-            for lp, g in zip(params.layers, layer_grads):
-                for name in sorted(lp.arrays()):
-                    tensors.append(g[name])
-                    templates.append(lp.arrays()[name])
-            analytic = _pack(tensors)
-            theta0 = _pack(templates)
-            names = sorted(params.layers[0].arrays())
+            names = sorted(layers[0])
             per = len(names)
+            analytic = _pack([dX, *(g[name] for g in layer_grads for name in names)])
+            templates = [X, *(lp[name] for lp in layers for name in names)]
+            theta0 = _pack(templates)
             layout = _layout(templates)
 
             def loss(theta: np.ndarray) -> float:
                 x, *rest = _unpack(theta, layout)
-                layers = [
-                    TransformerLayerParams(**dict(zip(names, rest[i : i + per])))
-                    for i in range(0, len(rest), per)
-                ]
-                p = TransformerParams(layers=layers, model_dim=d, num_heads=heads)
-                o, _, _ = transformer_forward(x, p)
+                per_layer = [dict(zip(names, rest[i : i + per])) for i in range(0, len(rest), per)]
+                o, _, _ = transformer_forward(x, per_layer, heads)
                 return float((weights * o).sum())
 
             return theta0, analytic, loss

@@ -77,7 +77,7 @@ def _config_values(args) -> dict:
 
 
 def _build_configs(args, *classes) -> list:
-    """One instance of each config dataclass, from --config and --set."""
+    """One validated instance of each config dataclass, from --config and --set."""
     values = _config_values(args)
     used: set[str] = set()
     built = [build_dataclass(cls, values, used) for cls in classes]
@@ -87,7 +87,7 @@ def _build_configs(args, *classes) -> list:
             f"{args.command}: unknown config key(s) {', '.join(unknown)} "
             f"(not a field of {' or '.join(cls.__name__ for cls in classes)})"
         )
-    return built
+    return [cfg.validate() for cfg in built]
 
 
 def _labels_for(examples, labels_path) -> list[int]:
@@ -117,7 +117,6 @@ def _check_test_count(count: int, n: int) -> None:
 
 
 def cmd_build_graph(args) -> int:
-    out = _out_dir(args)
     examples = load_context_examples(args.input)
     rows = []
     for ex in examples:
@@ -130,6 +129,7 @@ def cmd_build_graph(args) -> int:
                 "density": density(g),
             }
         )
+    out = _out_dir(args)
     _dump_json({"graphs": rows}, out / "graphs.json")
     with open(out / "graph_density.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -257,9 +257,9 @@ def cmd_eval_density(args) -> int:
 
 
 def cmd_probe_heads(args) -> int:
-    out = _out_dir(args)
     traces = load_traces(args.traces)
     rows = head_report_rows(traces)
+    out = _out_dir(args)
     _dump_json({"heads": rows}, out / "head_report.json")
     write_head_report_csv(rows, out / "head_report.csv")
     top = rows[0]

@@ -133,16 +133,16 @@ class EntityGraph:
     adjacency: Matrix
 
 
-def build_graph(example: ContextExample, exact_mentions: bool = False) -> EntityGraph:
+def build_graph(example: ContextExample) -> EntityGraph:
     """Connect co-mention and co-sentence entity pairs; add self-loops.
 
-    Node order follows ``example.entity_spans``. With ``exact_mentions``
-    the same-mention rule compares raw strings instead of normalized ones.
+    Node order follows ``example.entity_spans``. The same-mention rule
+    compares normalized mentions.
     """
     example.validate()
     spans = example.entity_spans
     n = len(spans)
-    keys = [sp.mention if exact_mentions else normalize_mention(sp.mention) for sp in spans]
+    keys = [normalize_mention(sp.mention) for sp in spans]
     adj = np.eye(n, dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):

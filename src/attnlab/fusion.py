@@ -1,7 +1,10 @@
 """Token/node bridging and the hop loop that alternates between them.
 
-The hop loop takes one parameter set per hop. The graph_attention and
-self_attention variants both train through it and differ only in its
+The hop loop takes one dict of weights per hop: graph attention's
+``proj`` and ``attn_vec`` and the token mixer's ``mix``, which ``train``
+stores as ``fusion.<hop>.<name>``. Graph attention and the mixer each
+check the shapes they read. The graph_attention and self_attention
+variants both train through the loop and differ only in its
 ``fully_connected`` flag, which swaps the adjacency for all-ones.
 
 One hop pools token representations into per-entity node states
@@ -37,11 +40,12 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
-    GraphAttentionParams,
+    LEAKY_SLOPE,
     _flat_mm,
     _outer_grad,
     graph_attention_batch_backward,
     graph_attention_batch_forward,
+    init_graph_attention_params,
 )
 from .entity_graph import ContextExample, EntityGraph
 from .errors import ShapeError, ValidationError
@@ -193,48 +197,28 @@ def graph2doc_backward(cache, d_out: Matrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FusionParams:
-    """One hop's weights: the attention layer plus the token mixer."""
-
-    attention: GraphAttentionParams
-    mix: Matrix
-
-    def validate(self) -> "FusionParams":
-        self.attention.validate()
-        d = self.mix.shape[1]
-        if self.attention.d_in != 2 * d:
-            raise ShapeError(
-                f"attention expects width {self.attention.d_in}, pooling provides {2 * d}"
-            )
-        if self.mix.shape[0] != d + self.attention.d_out:
-            raise ShapeError(
-                f"mix rows {self.mix.shape[0]} != token dim {d} + node dim {self.attention.d_out}"
-            )
-        return self
-
-
-def init_fusion_params(
-    rng: SeededRng, token_dim: int, node_dim: int, leaky_slope: float = 0.2
-) -> FusionParams:
-    from .attention import init_graph_attention_params
-
-    att = init_graph_attention_params(rng.split(0), 2 * token_dim, node_dim, leaky_slope)
+def init_fusion_params(rng: SeededRng, token_dim: int, node_dim: int) -> dict[str, np.ndarray]:
+    """One hop's weights: graph attention's ``proj`` (2 * token_dim, node_dim)
+    and ``attn_vec``, and the token mixer ``mix`` (token_dim + node_dim, token_dim)."""
     mix_scale = float(np.sqrt(2.0 / (token_dim + node_dim + token_dim)))
-    mix = rng.split(1).normal((token_dim + node_dim, token_dim), mix_scale)
-    return FusionParams(attention=att, mix=mix).validate()
+    return {
+        **init_graph_attention_params(rng.split(0), 2 * token_dim, node_dim),
+        "mix": rng.split(1).normal((token_dim + node_dim, token_dim), mix_scale),
+    }
 
 
 def fusion_batch_forward(
     C: np.ndarray,
     adjacency: np.ndarray,
     assignment: SpanAssignment,
-    params: Sequence[FusionParams],
+    params: Sequence[dict],
     fully_connected: bool = False,
+    leaky_slope: float = LEAKY_SLOPE,
 ):
     """Run one round of pool -> attend -> back-project per entry of
-    ``params``, batched. With ``fully_connected`` the adjacency is
-    replaced by all-ones, the degenerate unmasked case.
+    ``params``, batched. Each entry holds one hop's ``proj``, ``attn_vec``
+    and ``mix``. With ``fully_connected`` the adjacency is replaced by
+    all-ones, the degenerate unmasked case.
     """
     if not params:
         raise ValidationError("hop count must be >= 1")
@@ -243,10 +227,9 @@ def fusion_batch_forward(
     hop_caches = []
     x = C
     for p in params:
-        p.validate()
         nodes, pool_c = pool_batch_forward(x, assignment)
-        upd, alpha, att_c = graph_attention_batch_forward(nodes, adj, p.attention)
-        x, unpool_c = unpool_batch_forward(x, upd, assignment, p.mix)
+        upd, alpha, att_c = graph_attention_batch_forward(nodes, adj, p, leaky_slope)
+        x, unpool_c = unpool_batch_forward(x, upd, assignment, p["mix"])
         traces.append(alpha)
         hop_caches.append((pool_c, att_c, unpool_c))
     return x, traces, hop_caches
@@ -269,8 +252,9 @@ def fusion_block_forward(
     C0: Matrix,
     graph: EntityGraph,
     assignment: SpanAssignment,
-    params: Sequence[FusionParams],
+    params: Sequence[dict],
     fully_connected: bool = False,
+    leaky_slope: float = LEAKY_SLOPE,
 ):
     """Single-example hop loop; returns (tokens, per-hop traces, cache)."""
     C0 = np.asarray(C0, dtype=np.float64)
@@ -279,7 +263,7 @@ def fusion_block_forward(
     if graph.n != assignment.num_entities:
         raise ShapeError("graph node count disagrees with span assignment")
     out, traces, cache = fusion_batch_forward(
-        C0[None], graph.adjacency[None], assignment, params, fully_connected
+        C0[None], graph.adjacency[None], assignment, params, fully_connected, leaky_slope
     )
     return out[0], [t[0] for t in traces], cache
 

@@ -19,6 +19,13 @@ Every variant ends in the same tail: the reasoning stack's tokens are
 mean-max pooled into node states, which the scorer reads. The batched
 math is the layer modules' own forward/backward, so the layer contracts
 and the training stack cannot drift apart.
+
+All parameters live in one flat dict of arrays, the same one that Adam
+updates and a checkpoint stores: ``embed``, ``pos`` and ``scorer``, plus
+each reasoning layer's arrays as ``fusion.<hop>.<name>`` (``proj``,
+``attn_vec``, ``mix``) or ``tf.<layer>.<name>`` (``wq`` ... ``ln2_bias``).
+A forward pass hands each layer its own arrays (not copies) under the
+short names, and the layers' gradients go back under the full names.
 """
 
 from __future__ import annotations
@@ -33,9 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
-    GraphAttentionParams,
-    TransformerLayerParams,
-    TransformerParams,
     init_transformer_params,
     transformer_batch_backward,
     transformer_batch_forward,
@@ -44,7 +48,6 @@ from .config import build_dataclass
 from .entity_graph import ContextExample, build_graph, density, quantile_partition
 from .errors import NumericError, TrainingError, ValidationError
 from .fusion import (
-    FusionParams,
     SpanAssignment,
     fusion_batch_backward,
     fusion_batch_forward,
@@ -119,6 +122,8 @@ class ExperimentConfig:
             raise ValidationError("learning_rate must be positive")
         if self.variant == "transformer" and self.hidden_dim % self.num_heads:
             raise ValidationError("num_heads must divide hidden_dim")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValidationError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope!r}")
         return self
 
 
@@ -205,18 +210,10 @@ def init_model_params(cfg: ExperimentConfig, data: TaskData, rng: SeededRng) -> 
         "pos": rng.split(1).normal((L, d), cfg.embed_scale),
     }
     if cfg.variant in ("graph_attention", "self_attention"):
-        for t in range(cfg.hops):
-            fp = init_fusion_params(rng.split(10 + t), d, d, cfg.leaky_slope)
-            params[f"fusion.{t}.proj"] = fp.attention.proj
-            params[f"fusion.{t}.attn_vec"] = fp.attention.attn_vec
-            params[f"fusion.{t}.mix"] = fp.mix
+        hops = [init_fusion_params(rng.split(10 + t), d, d) for t in range(cfg.hops)]
+        params.update(_prefixed("fusion", hops))
     elif cfg.variant == "transformer":
-        tfp = init_transformer_params(
-            rng.split(20), cfg.hops, d, cfg.num_heads, ffn_dim=d
-        )
-        for i, lp in enumerate(tfp.layers):
-            for name, arr in lp.arrays().items():
-                params[f"tf.{i}.{name}"] = arr
+        params.update(_prefixed("tf", init_transformer_params(rng.split(20), cfg.hops, d, d)))
     params["scorer"] = rng.split(40).normal((2 * d,), 1.0 / np.sqrt(2 * d))
     return params
 
@@ -240,33 +237,15 @@ def param_shapes(cfg: ExperimentConfig, vocab_size: int, num_tokens: int) -> dic
     return shapes
 
 
-def _fusion_views(params: dict, cfg: ExperimentConfig) -> list[FusionParams]:
-    views = []
-    for t in range(cfg.hops):
-        views.append(
-            FusionParams(
-                attention=GraphAttentionParams(
-                    proj=params[f"fusion.{t}.proj"],
-                    attn_vec=params[f"fusion.{t}.attn_vec"],
-                    leaky_slope=cfg.leaky_slope,
-                ),
-                mix=params[f"fusion.{t}.mix"],
-            )
-        )
-    return views
+def _prefixed(prefix: str, layers: Sequence[dict]) -> dict:
+    """Per-layer dicts flattened to the store's ``<prefix>.<layer>.<name>`` keys."""
+    return {f"{prefix}.{i}.{k}": v for i, layer in enumerate(layers) for k, v in layer.items()}
 
 
-def _transformer_view(params: dict, cfg: ExperimentConfig) -> TransformerParams:
-    layers = []
-    for i in range(cfg.hops):
-        names = (
-            "wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2",
-            "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-        )
-        layers.append(TransformerLayerParams(**{n: params[f"tf.{i}.{n}"] for n in names}))
-    return TransformerParams(
-        layers=layers, model_dim=cfg.hidden_dim, num_heads=cfg.num_heads
-    )
+def _layers(params: dict, prefix: str, count: int) -> list[dict]:
+    """The inverse of ``_prefixed``: layer i's arrays under their short names."""
+    heads = [f"{prefix}.{i}." for i in range(count)]
+    return [{k[len(h):]: v for k, v in params.items() if k.startswith(h)} for h in heads]
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +259,13 @@ def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.n
     x = params["embed"][tok] + params["pos"][None, :, :]
     body_cache = None
     if cfg.variant == "transformer":
-        x, _, body_cache = transformer_batch_forward(x, _transformer_view(params, cfg))
+        layers = _layers(params, "tf", cfg.hops)
+        x, _, body_cache = transformer_batch_forward(x, layers, cfg.num_heads)
     elif cfg.variant != "none":
         fully_connected = cfg.variant == "self_attention" or cfg.force_fully_connected
         x, _, body_cache = fusion_batch_forward(
-            x, data.adjacency[idx], data.assignment, _fusion_views(params, cfg), fully_connected
+            x, data.adjacency[idx], data.assignment, _layers(params, "fusion", cfg.hops),
+            fully_connected, cfg.leaky_slope,
         )
     nodes, pool_c = pool_batch_forward(x, data.assignment)
     return nodes @ params["scorer"], (tok, body_cache, pool_c, nodes)
@@ -308,13 +289,10 @@ def model_backward(cfg: ExperimentConfig, params: dict, cache, d_scores: np.ndar
     if body_cache is not None:
         if cfg.variant == "transformer":
             dx, layer_grads = transformer_batch_backward(body_cache, dx)
-            prefix = "tf"
+            grads.update(_prefixed("tf", layer_grads))
         else:
             dx, layer_grads = fusion_batch_backward(body_cache, dx)
-            prefix = "fusion"
-        for i, g in enumerate(layer_grads):
-            for name, arr in g.items():
-                grads[f"{prefix}.{i}.{name}"] = arr
+            grads.update(_prefixed("fusion", layer_grads))
     grads["embed"] = _embedding_grad(params["embed"].shape[0], tok, dx)
     grads["pos"] = dx.sum(axis=0)
     return grads
@@ -466,7 +444,7 @@ class MetricsReport:
     loss_curve: list[float]
     wall_clock_seconds: float | None
 
-    def to_json_dict(self, include_wall_clock: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "variant": self.variant,
             "seed": self.seed,
@@ -474,7 +452,7 @@ class MetricsReport:
             "bins": self.bins,
             "loss_curve": self.loss_curve,
             # wall clock is run-dependent; artifacts stay byte-reproducible
-            "wall_clock_seconds": self.wall_clock_seconds if include_wall_clock else None,
+            "wall_clock_seconds": None,
         }
 
     def write_csv(self, path: str | Path) -> None:
@@ -601,7 +579,7 @@ def transformer_traces(
     if model.cfg.variant != "transformer":
         raise ValidationError("attention traces are exported from the transformer variant")
     _reuse_freed_pages()
-    view = _transformer_view(model.params, model.cfg)
+    weights = _layers(model.params, "tf", model.cfg.hops)
     entity_mask = np.zeros(data.token_ids.shape[1], dtype=bool)
     for s, e in model.spans:
         entity_mask[s:e] = True
@@ -610,7 +588,9 @@ def transformer_traces(
         chunk = idx[lo : lo + PREDICT_CHUNK]
         tok = data.token_ids[chunk]
         traces = transformer_batch_forward(
-            model.params["embed"][tok] + model.params["pos"][None, :, :], view
+            model.params["embed"][tok] + model.params["pos"][None, :, :],
+            weights,
+            model.cfg.num_heads,
         )[1]
         for bi, i in enumerate(chunk):
             layers = [[np.array(layer[bi, h]) for h in range(layer.shape[1])] for layer in traces]

@@ -4,11 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from attnlab.attention import (
+    LEAKY_SLOPE,
     _check_adjacency,
-    GraphAttentionParams,
     graph_attention_backward,
     graph_attention_forward,
-    identity_graph_attention_params,
     init_graph_attention_params,
     masked_softmax,
     self_attention_forward,
@@ -33,8 +32,13 @@ def random_instance(rng: SeededRng, n=None, d_in=None, d_out=None, p_edge=0.5):
     return H, adj, params
 
 
+def identity_params(d):
+    """Projection fixed to the identity: the layer aggregates raw states."""
+    return {"proj": np.eye(d), "attn_vec": np.zeros(2 * d)}
+
+
 def test_single_node_identity_projection():
-    p = identity_graph_attention_params(3)
+    p = identity_params(3)
     H = np.array([[-1.0, 0.5, 2.0]])
     out, alpha, _ = graph_attention_forward(H, np.ones((1, 1)), p)
     assert np.array_equal(alpha, [[1.0]])
@@ -42,7 +46,7 @@ def test_single_node_identity_projection():
 
 
 def test_zero_scores_give_uniform_attention():
-    p = identity_graph_attention_params(1)
+    p = identity_params(1)
     H = np.array([[1.0], [-1.0]])
     out, alpha, _ = graph_attention_forward(H, np.ones((2, 2)), p)
     np.testing.assert_allclose(alpha, 0.5 * np.ones((2, 2)), atol=0)
@@ -55,7 +59,7 @@ def test_matches_loop_oracle_on_random_instances():
         H, adj, params = random_instance(rng)
         out, alpha, _ = graph_attention_forward(H, adj, params)
         ref_out, ref_alpha = loop_graph_attention(
-            H, adj, params.proj, params.attn_vec, params.leaky_slope
+            H, adj, params["proj"], params["attn_vec"], LEAKY_SLOPE
         )
         np.testing.assert_allclose(out, ref_out, atol=1e-12)
         np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12)
@@ -122,7 +126,7 @@ def test_symmetric_zero_attn_vec_gradient():
     # equal node states and zero scores: moving the score vector cannot
     # change the uniform attention, so its gradient vanishes
     d = 3
-    params = identity_graph_attention_params(d)
+    params = identity_params(d)
     H = np.tile(np.array([[0.5, 1.5, 2.5]]), (4, 1))
     out, _, cache = graph_attention_forward(H, np.ones((4, 4)), params)
     _, _, d_vec = graph_attention_backward(cache, np.ones_like(out))
@@ -142,7 +146,8 @@ def test_validation_errors():
     with pytest.raises(ShapeError):
         graph_attention_forward(H, np.ones((4, 4)), params)
     with pytest.raises(ShapeError):
-        GraphAttentionParams(proj=np.ones((2, 2)), attn_vec=np.ones(3)).validate()
+        short_vec = {"proj": np.ones((2, 2)), "attn_vec": np.ones(3)}
+        graph_attention_forward(H, np.ones((3, 3)), short_vec)
 
 
 def test_masked_softmax_empty_row_rejected():

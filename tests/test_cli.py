@@ -172,7 +172,8 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "override",
-    ["force_fully_connected=no", "force_fully_connected=1", "epochs=abc", "hidden_dim=8.5"],
+    ["force_fully_connected=no", "force_fully_connected=1", "epochs=abc", "hidden_dim=8.5",
+     "leaky_slope=1.5"],
 )
 def test_mistyped_config_value_is_rejected(tmp_path, capsys, override):
     out = tmp_path / "out"
@@ -180,6 +181,16 @@ def test_mistyped_config_value_is_rejected(tmp_path, capsys, override):
     rc = main(["train", "--set", "hidden_dim=4", "--set", "epochs=1", "--set", "num_examples=40",
                "--set", override, "--test-count", "10", "--out", str(out)])
     assert rc == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, override", [("gen-synthetic", "num_examples=0"), ("train", "hops=0")]
+)
+def test_out_of_range_config_value_creates_no_out(tmp_path, capsys, command, override):
+    out = tmp_path / "out"
+    assert main([command, "--set", override, "--out", str(out)]) == 2
     assert override.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
 
@@ -340,6 +351,13 @@ def test_missing_file_returns_error(tmp_path, capsys):
     rc = main(["build-graph", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    # a command that cannot read its input creates no --out
+    for argv in (["build-graph", "--input"], ["probe-heads", "--traces"]):
+        out = tmp_path / f"out_{argv[0]}"
+        rc = main([*argv, str(tmp_path / "nope.jsonl"), "--out", str(out)])
+        assert rc == 2
+        assert "nope.jsonl" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ from attnlab.checks import gradcheck_fusion, gradcheck_graph2doc
 from attnlab.entity_graph import EntityGraph
 from attnlab.errors import ShapeError, ValidationError
 from attnlab.fusion import (
-    FusionParams,
     SpanAssignment,
     fusion_block_forward,
     graph2doc,
@@ -161,18 +160,18 @@ def test_fusion_single_hop_equals_manual_composition():
     adj = np.eye(3)
     adj[0, 1] = adj[1, 0] = 1.0
     graph = EntityGraph(n=3, mentions=["a", "b", "c"], adjacency=adj)
-    params = FusionParams(
-        attention=init_graph_attention_params(rng.split(0), 2 * d, d),
-        mix=rng.split(1).normal((2 * d, d)),
-    )
+    params = {
+        **init_graph_attention_params(rng.split(0), 2 * d, d),
+        "mix": rng.split(1).normal((2 * d, d)),
+    }
     C0 = rng.normal((L, d))
     out, traces, _ = fusion_block_forward(C0, graph, asg, [params])
 
     from attnlab.attention import graph_attention_forward
 
     nodes, _ = tok2graph_meanmax(C0, asg)
-    upd, alpha, _ = graph_attention_forward(nodes, adj, params.attention)
-    manual, _ = graph2doc(C0, upd, asg, params.mix)
+    upd, alpha, _ = graph_attention_forward(nodes, adj, params)
+    manual, _ = graph2doc(C0, upd, asg, params["mix"])
     np.testing.assert_array_equal(out, manual)
     np.testing.assert_array_equal(traces[0], alpha)
 
@@ -183,10 +182,10 @@ def test_fusion_degeneracy_lifts_through_pipeline():
     spans = [(0, 2), (2, 4), (5, 7), (8, 10)]
     asg = SpanAssignment(spans, L)
     graph = EntityGraph(n=4, mentions=[""] * 4, adjacency=np.ones((4, 4)))
-    params = FusionParams(
-        attention=init_graph_attention_params(rng.split(0), 2 * d, d),
-        mix=rng.split(1).normal((2 * d, d)),
-    )
+    params = {
+        **init_graph_attention_params(rng.split(0), 2 * d, d),
+        "mix": rng.split(1).normal((2 * d, d)),
+    }
     C0 = rng.normal((L, d))
     for hops in (1, 2, 3):
         masked, _, _ = fusion_block_forward(C0, graph, asg, [params] * hops)
@@ -203,10 +202,10 @@ def test_fusion_no_nan_and_per_hop_params():
     asg = SpanAssignment(spans, L)
     graph = EntityGraph(n=2, mentions=["", ""], adjacency=np.ones((2, 2)))
     plist = [
-        FusionParams(
-            attention=init_graph_attention_params(rng.split(i), 2 * d, d),
-            mix=rng.split(100 + i).normal((2 * d, d)),
-        )
+        {
+            **init_graph_attention_params(rng.split(i), 2 * d, d),
+            "mix": rng.split(100 + i).normal((2 * d, d)),
+        }
         for i in range(2)
     ]
     out, traces, _ = fusion_block_forward(rng.normal((L, d)), graph, asg, plist)

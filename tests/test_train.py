@@ -92,9 +92,9 @@ def test_batched_forward_matches_per_example_modules():
     idx = np.arange(4)
     scores, cache = model_forward(cfg, params, data, idx)
 
-    from attnlab.train import _fusion_views
+    from attnlab.train import _layers
 
-    plist = _fusion_views(params, cfg)
+    plist = _layers(params, "fusion", cfg.hops)
     asg = data.assignment
     for row, i in enumerate(idx):
         x0 = params["embed"][data.token_ids[i]] + params["pos"]

@@ -10,7 +10,7 @@ from attnlab.attention import (
     transformer_forward,
 )
 from attnlab.checks import gradcheck_transformer
-from attnlab.errors import ShapeError
+from attnlab.errors import ShapeError, ValidationError
 from attnlab.numerics import SeededRng
 from oracles import (
     layernorm_backward_expression,
@@ -19,15 +19,18 @@ from oracles import (
 )
 
 
-def small_params(rng, layers=2, d=6, heads=2, ffn=5):
-    return init_transformer_params(rng, layers, d, heads, ffn_dim=ffn)
+HEADS = 2
+
+
+def small_params(rng, layers=2, d=6, ffn=5):
+    return init_transformer_params(rng, layers, d, ffn_dim=ffn)
 
 
 def test_traces_row_stochastic_over_unpadded_keys():
     rng = SeededRng(0)
     params = small_params(rng)
     X = rng.normal((7, 6))
-    _, traces, _ = transformer_forward(X, params)
+    _, traces, _ = transformer_forward(X, params, HEADS)
     for layer in traces:
         for head in layer:
             np.testing.assert_allclose(head.sum(axis=1), 1.0, atol=1e-12)
@@ -38,8 +41,8 @@ def test_permutation_equivariance_without_positions():
     params = small_params(rng)
     X = rng.normal((6, 6))
     perm = np.random.default_rng(3).permutation(6)
-    out, traces, _ = transformer_forward(X, params)
-    pout, ptraces, _ = transformer_forward(X[perm], params)
+    out, traces, _ = transformer_forward(X, params, HEADS)
+    pout, ptraces, _ = transformer_forward(X[perm], params, HEADS)
     np.testing.assert_allclose(pout, out[perm], atol=1e-10)
     for layer, player in zip(traces, ptraces):
         for head, phead in zip(layer, player):
@@ -48,18 +51,18 @@ def test_permutation_equivariance_without_positions():
 
 def test_single_head_matches_loop_oracle():
     rng = SeededRng(2)
-    d, heads = 6, 2
-    params = small_params(rng, layers=1, d=d, heads=heads)
+    d, heads = 6, HEADS
+    params = small_params(rng, layers=1, d=d)
     X = rng.normal((6, d))
     keep = np.ones(6, dtype=bool)
-    _, traces, _ = transformer_forward(X, params)
-    lp = params.layers[0]
+    _, traces, _ = transformer_forward(X, params, HEADS)
+    lp = params[0]
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
         _, ref_alpha = loop_attention_head(
-            X, lp.wq[:, cols], lp.wk[:, cols], lp.wv[:, cols], scale, keep
+            X, lp["wq"][:, cols], lp["wk"][:, cols], lp["wv"][:, cols], scale, keep
         )
         np.testing.assert_allclose(traces[0][h], ref_alpha, atol=1e-12)
 
@@ -68,7 +71,7 @@ def test_zero_cotangent_gives_zero_grads():
     rng = SeededRng(3)
     params = small_params(rng)
     X = rng.normal((5, 6))
-    out, _, cache = transformer_forward(X, params)
+    out, _, cache = transformer_forward(X, params, HEADS)
     dX, grads = transformer_backward(cache, np.zeros_like(out))
     assert not dX.any()
     for g in grads:
@@ -83,8 +86,16 @@ def test_gradcheck_post_norm():
 def test_shape_validation():
     rng = SeededRng(5)
     params = small_params(rng)
+    X = rng.normal((4, 6))
     with pytest.raises(ShapeError):
-        transformer_forward(rng.normal((4, 5)), params)
+        transformer_forward(rng.normal((4, 5)), params, HEADS)
+    bad = [dict(params[0], wq=rng.normal((6, 5))), params[1]]
+    with pytest.raises(ShapeError):
+        transformer_forward(X, bad, HEADS)
+    with pytest.raises(ValidationError):
+        transformer_forward(X, params, 4)  # 4 heads do not divide width 6
+    with pytest.raises(ValidationError):
+        transformer_forward(X, [], HEADS)
 
 
 @pytest.mark.parametrize("shape", [(7, 12), (3, 5, 12)])
