@@ -13,16 +13,23 @@ order, the sha256 of the held-out scores and the sha256 of the bytes of
 the saved checkpoint. The transformer line also holds the sha256 of the
 attention traces ``transformer_traces`` exports for the first 8 held-out
 examples (every head's matrix, layer by layer). The next line holds the
-``run_gradcheck_suite(5, 3)`` errors as ``float.hex``, and a last line
-the ``degeneracy_suite(200, 2024)`` maximum deviations (masked vs. self
-attention, and vs. the loop reference) as ``float.hex``. The script imports
+``run_gradcheck_suite(5, 3)`` errors as ``float.hex``, the next the
+``degeneracy_suite(200, 2024)`` maximum deviations (masked vs. self
+attention, and vs. the loop reference) as ``float.hex``, and a last line
+the sha256 of every file a small ``attnlab`` CLI pipeline writes, sorted by
+name: gen-synthetic (80 examples), build-graph, density-report, train of
+graph_attention and of transformer with ``--emit-traces``, eval-density
+and probe-heads. The ``run_*.log`` files hold wall time and are left
+out. The script imports
 attnlab from the ``src`` directory next to it, so it measures the tree it
 lives in.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -31,6 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from attnlab.checks import degeneracy_suite, run_gradcheck_suite  # noqa: E402
+from attnlab.cli import main as cli_main  # noqa: E402
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic  # noqa: E402
 from attnlab.train import (  # noqa: E402
     ExperimentConfig,
@@ -56,6 +64,32 @@ def _sha256(arrays) -> str:
     for a in arrays:
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def _cli_artifacts(out: Path) -> dict[str, str]:
+    data, labels = out / "dataset_seed21.jsonl", out / "labels_seed21.jsonl"
+    train = ["train", "--dataset", str(data), "--labels", str(labels), "--test-count", "20",
+             "--set", "hidden_dim=12", "--set", "epochs=1", "--set", "seed=5"]
+    commands = (
+        ["gen-synthetic", "--set", "num_examples=80", "--set", "num_entities_pool=10",
+         "--set", "sentences_per_context=4", "--set", "distractor_count=4", "--set", "seed=21"],
+        ["build-graph", "--input", str(data)],
+        ["density-report", "--input", str(data)],
+        train + ["--set", "variant=graph_attention"],
+        train + ["--set", "variant=transformer", "--set", "num_heads=2", "--emit-traces", "4"],
+        ["eval-density", "--model", str(out / "model_graph_attention_seed5.json"),
+         "--dataset", str(data), "--labels", str(labels)],
+        ["probe-heads", "--traces", str(out / "traces_transformer_seed5.jsonl")],
+    )
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main([*argv, "--out", str(out)]) != 0:
+                raise SystemExit(f"attnlab {argv[0]} failed")
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if not p.name.startswith("run_")
+    }
 
 
 def main() -> None:
@@ -87,6 +121,8 @@ def main() -> None:
     print(json.dumps({"gradcheck": {k: errors[k].hex() for k in GRADCHECK_KEYS}}, sort_keys=True))
     dev = degeneracy_suite(200, 2024)
     print(json.dumps({"degeneracy": {k: dev[k].hex() for k in DEGENERACY_KEYS}}, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps({"cli_artifacts_sha256": _cli_artifacts(Path(tmp))}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -26,9 +26,9 @@ from .fusion import (
     graph2doc,
     tok2graph_meanmax,
 )
-from .head_probe import AttentionTrace, attention_to_token, head_entity_score, rank_heads
+from .head_probe import AttentionTrace, head_entity_score, rank_heads
 from .numerics import Matrix, SeededRng, finite_diff_grad, leaky_relu, relu
 from .synth import SyntheticTaskConfig, generate_synthetic
-from .train import ExperimentConfig, MetricsReport, TrainedModel, evaluate_by_density
+from .train import ExperimentConfig, MetricsReport, TrainedModel
 
 __version__ = "0.1.0"

@@ -13,8 +13,6 @@ violated.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -31,7 +29,8 @@ from .entity_graph import (
     quantile_partition,
 )
 from .errors import GenerationError, TrainingError, ValidationError
-from .head_probe import head_report_rows, load_traces, write_head_report_csv
+from .head_probe import head_report_rows, load_traces, save_traces, write_head_report_csv
+from .serialize import write_csv, write_json
 from .synth import (
     SyntheticTaskConfig,
     generate_synthetic,
@@ -58,12 +57,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _dump_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _config_values(args) -> dict:
@@ -130,11 +123,9 @@ def cmd_build_graph(args) -> int:
             }
         )
     out = _out_dir(args)
-    _dump_json({"graphs": rows}, out / "graphs.json")
-    with open(out / "graph_density.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "density"])
-        w.writerows([r["id"], repr(r["density"])] for r in rows)
+    write_json({"graphs": rows}, out / "graphs.json")
+    write_csv(out / "graph_density.csv", ["id", "density"],
+              ([r["id"], repr(r["density"])] for r in rows))
     print(f"built {len(rows)} graphs -> {out / 'graphs.json'}")
     return 0
 
@@ -149,7 +140,7 @@ def cmd_density_report(args) -> int:
         ids.append(ex.id)
     report = quantile_partition(densities, quantiles, ids=ids)
     out = _out_dir(args)
-    _dump_json(report.to_json_dict(), out / "density_report.json")
+    write_json(report.to_json_dict(), out / "density_report.json")
     report.write_csv(out / "density_report.csv")
     print(f"density report over {len(ids)} examples -> {out / 'density_report.json'}")
     return 0
@@ -163,7 +154,7 @@ def cmd_equivalence_check(args) -> int:
     result["tolerance"] = EQUIV_TOL
     worst = max(result["max_pair_deviation"], result["max_loop_deviation"])
     result["passed"] = bool(worst <= EQUIV_TOL)
-    _dump_json(result, out / "equivalence.json")
+    write_json(result, out / "equivalence.json")
     print(
         f"degeneracy: pair deviation {result['max_pair_deviation']:.3e}, "
         f"loop deviation {result['max_loop_deviation']:.3e} over {args.instances} instances"
@@ -176,7 +167,7 @@ def cmd_gradcheck(args) -> int:
     result = checks.run_gradcheck_suite(instances=args.instances, seed=args.seed)
     result["tolerance"] = GRAD_TOL
     result["passed"] = bool(result["max_relative_error"] <= GRAD_TOL)
-    _dump_json(result, out / "gradcheck.json")
+    write_json(result, out / "gradcheck.json")
     for name in ("graph_attention", "graph2doc", "fusion_block", "transformer"):
         print(f"gradcheck {name}: max relative error {result[name]:.3e}")
     return 0 if result["passed"] else 1
@@ -220,14 +211,13 @@ def cmd_train(args) -> int:
     model, report = train(cfg, data, quantiles=quantiles)
     stem = f"{cfg.variant}_seed{cfg.seed}"
     model.save(out / f"model_{stem}.json")
-    _dump_json(report.to_json_dict(), out / f"metrics_{stem}.json")
+    write_json(report.to_json_dict(), out / f"metrics_{stem}.json")
     report.write_csv(out / f"metrics_{stem}.csv")
-    with open(out / f"run_{stem}.log", "w", encoding="utf-8") as fh:
-        fh.write(f"wall_clock_seconds={report.wall_clock_seconds}\n")
+    (out / f"run_{stem}.log").write_text(
+        f"wall_clock_seconds={report.wall_clock_seconds}\n", encoding="utf-8"
+    )
     if args.emit_traces:
         traces = transformer_traces(model, data, data.test_idx[: args.emit_traces])
-        from .head_probe import save_traces
-
         save_traces(traces, out / f"traces_{stem}.jsonl")
     print(
         f"trained {cfg.variant}: held-out accuracy {report.accuracy:.4f} "
@@ -245,13 +235,13 @@ def cmd_eval_density(args) -> int:
     bins, accuracy = density_bins(model, data, np.arange(data.n), quantiles)
     out = _out_dir(args)
     doc = {"variant": model.cfg.variant, "accuracy": accuracy, "bins": bins}
-    _dump_json(doc, out / "density_eval.json")
-    with open(out / "density_eval.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["quantile", "boundary_density", "bin_size", "accuracy"])
-        for b in bins:
-            acc = "" if b["accuracy"] is None else repr(b["accuracy"])
-            w.writerow([b["quantile"], repr(b["boundary_density"]), b["size"], acc])
+    write_json(doc, out / "density_eval.json")
+    write_csv(
+        out / "density_eval.csv",
+        ["quantile", "boundary_density", "bin_size", "accuracy"],
+        ([b["quantile"], repr(b["boundary_density"]), b["size"],
+          "" if b["accuracy"] is None else repr(b["accuracy"])] for b in bins),
+    )
     print(f"eval-density: accuracy {accuracy:.4f} over {data.n} examples")
     return 0
 
@@ -260,7 +250,7 @@ def cmd_probe_heads(args) -> int:
     traces = load_traces(args.traces)
     rows = head_report_rows(traces)
     out = _out_dir(args)
-    _dump_json({"heads": rows}, out / "head_report.json")
+    write_json({"heads": rows}, out / "head_report.json")
     write_head_report_csv(rows, out / "head_report.csv")
     top = rows[0]
     print(

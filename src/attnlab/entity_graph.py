@@ -10,16 +10,15 @@ quantile partitions of density populations.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .numerics import Matrix
+from .serialize import read_jsonl, write_csv
 
 
 def normalize_mention(mention: str) -> str:
@@ -112,16 +111,7 @@ def example_from_json_dict(d: dict) -> ContextExample:
 
 def load_context_examples(path: str | Path) -> list[ContextExample]:
     """Read one ContextExample per JSONL line; errors name the line."""
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                examples.append(example_from_json_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return examples
+    return read_jsonl(path, example_from_json_dict)
 
 
 @dataclass(frozen=True)
@@ -187,11 +177,8 @@ class DensityReport:
         }
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["quantile", "boundary_density", "bin_size"])
-            for b in self.bins:
-                w.writerow([b.quantile, repr(b.boundary_density), b.size])
+        rows = ([b.quantile, repr(b.boundary_density), b.size] for b in self.bins)
+        write_csv(path, ["quantile", "boundary_density", "bin_size"], rows)
 
 
 def check_quantiles(quantiles: Sequence[float | str]) -> list[float]:

@@ -10,8 +10,6 @@ every row of a trace sums to one, so row totals carry no signal.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,6 +18,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .numerics import Matrix
+from .serialize import read_jsonl, write_csv, write_jsonl
 
 ROW_SUM_TOL = 1e-6
 
@@ -113,16 +112,6 @@ def rank_heads(
     return ranked
 
 
-def attention_to_token(A: Matrix, target: int) -> np.ndarray:
-    """Column slice: how much every token attends to ``target``."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ShapeError("expected a 2-D attention matrix")
-    if not 0 <= target < A.shape[1]:
-        raise ValueError(f"target {target} outside [0, {A.shape[1]})")
-    return A[:, target].copy()
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -147,22 +136,11 @@ def trace_from_json_dict(d: dict) -> AttentionTrace:
 
 
 def save_traces(traces: Iterable[AttentionTrace], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tr in traces:
-            fh.write(json.dumps(trace_to_json_dict(tr)) + "\n")
+    write_jsonl((trace_to_json_dict(tr) for tr in traces), path)
 
 
 def load_traces(path: str | Path) -> list[AttentionTrace]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(trace_from_json_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return read_jsonl(path, trace_from_json_dict)
 
 
 def head_report_rows(traces: Sequence[AttentionTrace]) -> list[dict]:
@@ -184,10 +162,9 @@ def head_report_rows(traces: Sequence[AttentionTrace]) -> list[dict]:
 
 
 def write_head_report_csv(rows: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "head", "score_colmean", "score_rawsum", "rank"])
-        for r in rows:
-            w.writerow(
-                [r["layer"], r["head"], repr(r["score_colmean"]), repr(r["score_rawsum"]), r["rank"]]
-            )
+    write_csv(
+        path,
+        ["layer", "head", "score_colmean", "score_rawsum", "rank"],
+        ([r["layer"], r["head"], repr(r["score_colmean"]), repr(r["score_rawsum"]), r["rank"]]
+         for r in rows),
+    )

@@ -28,13 +28,13 @@ order still vary), hence the same adjacency edge count and density.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .entity_graph import ContextExample, EntitySpan
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError
 from .numerics import SeededRng
+from .serialize import read_jsonl, write_jsonl
 
 SPAN_TOKENS = 2  # every mention is two tokens ("given" + "family" part)
 FILLERS_PER_SENTENCE = 2
@@ -217,29 +217,14 @@ def query_node_index(example: ContextExample) -> int:
 
 
 def write_dataset_jsonl(examples, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_json_dict()) + "\n")
+    write_jsonl((ex.to_json_dict() for ex in examples), path)
 
 
 def write_labels_jsonl(examples, labels, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex, lab in zip(examples, labels):
-            fh.write(json.dumps({"id": ex.id, "answer_node": int(lab)}) + "\n")
+    rows = ({"id": ex.id, "answer_node": int(lab)} for ex, lab in zip(examples, labels))
+    write_jsonl(rows, path)
 
 
 def load_labels_jsonl(path: str | Path) -> dict[str, int]:
     """Read ``{"id", "answer_node"}`` JSONL lines; errors name the line."""
-    out: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                out[str(row["id"])] = int(row["answer_node"])
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return dict(read_jsonl(path, lambda row: (str(row["id"]), int(row["answer_node"]))))

@@ -57,7 +57,7 @@ from .fusion import (
 )
 from .head_probe import AttentionTrace
 from .numerics import SeededRng
-from .serialize import load_manifest, save_manifest
+from .serialize import load_manifest, save_manifest, write_csv
 
 VARIANTS = ("graph_attention", "self_attention", "transformer", "none")
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -456,19 +456,13 @@ class MetricsReport:
         }
 
     def write_csv(self, path: str | Path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric", "value"])
-            w.writerow(["variant", self.variant])
-            w.writerow(["seed", self.seed])
-            w.writerow(["accuracy", repr(self.accuracy)])
-            for i, loss in enumerate(self.loss_curve):
-                w.writerow([f"epoch_{i}_loss", repr(loss)])
-            for b in self.bins:
-                acc = "" if b["accuracy"] is None else repr(b["accuracy"])
-                w.writerow([f"bin_q{b['quantile']}_accuracy", acc])
+        rows = [["variant", self.variant], ["seed", self.seed], ["accuracy", repr(self.accuracy)]]
+        rows += [[f"epoch_{i}_loss", repr(loss)] for i, loss in enumerate(self.loss_curve)]
+        rows += [
+            [f"bin_q{b['quantile']}_accuracy", "" if b["accuracy"] is None else repr(b["accuracy"])]
+            for b in self.bins
+        ]
+        write_csv(path, ["metric", "value"], rows)
 
 
 def density_bins(
@@ -500,17 +494,6 @@ def density_bins(
             }
         )
     return bins, accuracy
-
-
-def evaluate_by_density(
-    model: TrainedModel,
-    examples: Sequence[ContextExample],
-    labels: Sequence[int],
-    quantiles: Sequence[float] = DEFAULT_QUANTILES,
-) -> list[dict]:
-    data = model.prepare(examples, labels, n_test=0)
-    bins, _ = density_bins(model, data, np.arange(data.n), quantiles)
-    return bins
 
 
 def train(

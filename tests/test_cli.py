@@ -351,13 +351,17 @@ def test_missing_file_returns_error(tmp_path, capsys):
     rc = main(["build-graph", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-    # a command that cannot read its input creates no --out
-    for argv in (["build-graph", "--input"], ["probe-heads", "--traces"]):
-        out = tmp_path / f"out_{argv[0]}"
-        rc = main([*argv, str(tmp_path / "nope.jsonl"), "--out", str(out)])
-        assert rc == 2
-        assert "nope.jsonl" in capsys.readouterr().err
-        assert not out.exists()
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "blank.jsonl").write_text("\n  \n\n")
+    # a command that cannot read its input, or finds no records in it, creates no --out
+    for name in ("nope.jsonl", "empty.jsonl", "blank.jsonl"):
+        for argv in (["build-graph", "--input"], ["density-report", "--input"],
+                     ["probe-heads", "--traces"]):
+            out = tmp_path / f"out_{argv[0]}"
+            rc = main([*argv, str(tmp_path / name), "--out", str(out)])
+            assert rc == 2
+            assert str(tmp_path / name) in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
@@ -367,25 +371,37 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "graphs.json").exists()
 
 
+def _run_every_writer(out: Path) -> None:
+    """Every subcommand that writes a reproducible file, at small sizes, into
+    ``out`` (equivalence-check and gradcheck record their wall time)."""
+    short = ["--set", "hidden_dim=12", "--set", "epochs=1", "--set", "batch_size=16",
+             "--set", "seed=5", "--set", "learning_rate=0.001", "--test-count", "10"]
+    assert main(["gen-synthetic", "--config", str(write_config(out.parent / "task.cfg", TASK_KEYS)),
+                 "--set", "num_examples=40", "--out", str(out)]) == 0
+    data, labs = out / "dataset_seed21.jsonl", out / "labels_seed21.jsonl"
+    assert main(["build-graph", "--input", str(data), "--out", str(out)]) == 0
+    assert main(["density-report", "--input", str(data), "--out", str(out)]) == 0
+    given = ["--dataset", str(data), "--labels", str(labs), "--out", str(out), *short]
+    assert main(["train", *given, "--set", "variant=graph_attention", "--set", "hops=2"]) == 0
+    assert main(["train", *given, "--set", "variant=transformer", "--set", "num_heads=2",
+                 "--emit-traces", "4"]) == 0
+    assert main(["eval-density", "--model", str(out / "model_graph_attention_seed5.json"),
+                 "--dataset", str(data), "--labels", str(labs), "--out", str(out)]) == 0
+    assert main(["probe-heads", "--traces", str(out / "traces_transformer_seed5.jsonl"),
+                 "--out", str(out)]) == 0
+
+
 def test_cli_artifacts_are_deterministic(tmp_path):
-    data, labs = small_dataset(tmp_path, n=40)
-    cfg = write_config(
-        tmp_path / "exp.cfg",
-        "variant=graph_attention hops=2 hidden_dim=12 num_heads=2 epochs=1 "
-        "batch_size=16 seed=5 learning_rate=0.001",
-    )
-    outs = []
-    for name in ("o1", "o2"):
-        out = tmp_path / name
-        assert main(["density-report", "--input", str(data), "--out", str(out)]) == 0
-        assert main([
-            "train", "--config", str(cfg), "--dataset", str(data), "--labels", str(labs),
-            "--test-count", "10", "--out", str(out),
-        ]) == 0
-        outs.append(out)
-    for rel in (
-        "density_report.json", "density_report.csv",
-        "metrics_graph_attention_seed5.json", "metrics_graph_attention_seed5.csv",
-        "model_graph_attention_seed5.json",
-    ):
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+    runs = []
+    for name in ("r1", "r2"):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "out"
+        _run_every_writer(out)
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()
+                     if not p.name.startswith("run_")})
+    assert sorted(runs[0]) == sorted(runs[1])
+    assert {name.rsplit(".", 1)[1] for name in runs[0]} == {"json", "jsonl", "csv"}
+    assert len(runs[0]) == 17, sorted(runs[0])  # every file the seven commands write
+    for name, blob in runs[0].items():
+        assert blob == runs[1][name], name
+        assert b"\r" not in blob, name

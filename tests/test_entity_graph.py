@@ -214,6 +214,14 @@ def test_jsonl_roundtrip_and_line_errors(tmp_path):
     with pytest.raises(ValidationError, match=":2"):
         load_context_examples(bad)
 
+    lacking = examples[1].to_json_dict()
+    del lacking["tokens"]
+    with open(bad, "w") as fh:
+        fh.write(json.dumps(examples[0].to_json_dict()) + "\n")
+        fh.write(json.dumps(lacking) + "\n")
+    with pytest.raises(ValidationError, match=":2: missing key 'tokens'"):
+        load_context_examples(bad)
+
 
 def test_normalize_mention():
     assert normalize_mention("  Emil   WOLF ") == "emil wolf"

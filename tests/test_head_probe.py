@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from attnlab.errors import ValidationError
 from attnlab.head_probe import (
     AttentionTrace,
-    attention_to_token,
     head_entity_score,
     load_traces,
     rank_heads,
@@ -150,20 +149,6 @@ def test_planted_head_recovered():
         if rank_heads(traces)[0][:2] == planted:
             hits += 1
     assert hits == 20
-
-
-def test_attention_to_token():
-    rng = np.random.default_rng(6)
-    L = 5
-    uniform = np.full((L, L), 1.0 / L)
-    np.testing.assert_array_equal(attention_to_token(uniform, 2), np.full(L, 1.0 / L))
-    onehot = np.zeros((L, L))
-    onehot[:, 3] = 1.0
-    np.testing.assert_array_equal(attention_to_token(onehot, 3), np.ones(L))
-    A = random_stochastic(rng, L)
-    np.testing.assert_array_equal(attention_to_token(A, 4), A[:, 4])
-    with pytest.raises(ValueError):
-        attention_to_token(A, 5)
 
 
 def test_trace_validation_and_roundtrip(tmp_path):

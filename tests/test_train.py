@@ -17,7 +17,6 @@ from attnlab.train import (
     ExperimentConfig,
     TrainedModel,
     density_bins,
-    evaluate_by_density,
     init_model_params,
     model_backward,
     model_forward,
@@ -295,7 +294,8 @@ def test_evaluate_by_density_on_fresh_examples():
         sentences_per_context=4, distractor_count=4,
     )
     examples, labels = generate_synthetic(cfg_task)
-    bins = evaluate_by_density(model, examples, labels)
+    fresh = model.prepare(examples, labels)
+    bins, _ = density_bins(model, fresh, np.arange(fresh.n))
     assert sum(b["size"] for b in bins) == 25
 
 
