@@ -14,8 +14,8 @@ the saved checkpoint. The transformer line also holds the sha256 of the
 attention traces ``transformer_traces`` exports for the first 8 held-out
 examples (every head's matrix, layer by layer). The next line holds the
 ``run_gradcheck_suite(5, 3)`` errors as ``float.hex``, the next the
-``degeneracy_suite(200, 2024)`` maximum deviations (masked vs. self
-attention, and vs. the loop reference) as ``float.hex``, and a last line
+``degeneracy_suite(200, 2024)`` maximum deviations (an all-ones mask
+vs. no mask, and vs. the loop reference) as ``float.hex``, and a last line
 the sha256 of every file a small ``attnlab`` CLI pipeline writes, sorted by
 name: gen-synthetic (80 examples), build-graph, density-report, train of
 graph_attention and of transformer with ``--emit-traces``, eval-density

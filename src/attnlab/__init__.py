@@ -1,12 +1,11 @@
 """attnlab: a desk-scale laboratory for masked graph attention over
-entity graphs, its fully-connected self-attention degenerate, transformer
+entity graphs, self-attention as the same layer with no mask, transformer
 baselines, a synthetic two-hop retrieval task, and attention-head
 entity-pattern probing."""
 
 from .attention import (
     graph_attention_backward,
     graph_attention_forward,
-    self_attention_forward,
     transformer_backward,
     transformer_forward,
 )
@@ -23,8 +22,6 @@ from .fusion import (
     SpanAssignment,
     fusion_block_backward,
     fusion_block_forward,
-    graph2doc,
-    tok2graph_meanmax,
 )
 from .head_probe import AttentionTrace, head_entity_score, rank_heads
 from .numerics import Matrix, SeededRng, finite_diff_grad, leaky_relu, relu

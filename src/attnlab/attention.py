@@ -1,14 +1,15 @@
-"""Masked graph attention, its fully-connected degenerate form, and a
-small transformer encoder, all with analytic forward/backward passes.
+"""Graph attention, masked by an adjacency or not at all, and a small
+transformer encoder, all with analytic forward/backward passes.
 
 The graph-attention layer projects incoming node states, scores every
 ordered neighbor pair with an additive attention vector through a
 LeakyReLU, normalizes scores per node over its neighborhood only (masked
 softmax with exact zeros outside the adjacency), and aggregates projected
-neighbor states through a ReLU. Running the identical computation with an
-all-ones adjacency is, by definition, the fully-connected self-attention
-variant; ``self_attention_forward`` literally calls the masked code path
-with an all-ones mask, so the equivalence is bitwise.
+neighbor states through a ReLU. Self-attention is the same layer with
+``adjacency=None``: the softmax then runs with no mask and every node
+attends to every node. An all-ones adjacency masks nothing, so it gives
+the same bits by another code path; ``checks.degeneracy_suite`` checks
+that it does.
 
 The transformer is post-norm (layer norm after each residual add) and
 attends over every token: batches share one token layout, so there is
@@ -90,7 +91,6 @@ def init_graph_attention_params(rng: SeededRng, d_in: int, d_out: int) -> dict[s
 @dataclass
 class GraphAttentionCache:
     H: np.ndarray
-    mask: np.ndarray
     g: np.ndarray
     pre: np.ndarray
     alpha: np.ndarray
@@ -114,9 +114,10 @@ def _check_adjacency(adj: np.ndarray) -> np.ndarray:
 
 
 def graph_attention_batch_forward(
-    H: np.ndarray, adjacency: np.ndarray, params: dict, leaky_slope: float = LEAKY_SLOPE
+    H: np.ndarray, adjacency: np.ndarray | None, params: dict, leaky_slope: float = LEAKY_SLOPE
 ) -> tuple[np.ndarray, np.ndarray, GraphAttentionCache]:
-    """Batched masked attention. H: (B, N, d_in), adjacency: (B, N, N).
+    """Batched attention. H: (B, N, d_in); adjacency: (B, N, N), or None
+    to let every node attend to every node.
 
     ``params`` holds ``proj`` (d_in, d_out) and ``attn_vec`` (2 * d_out,),
     which scores the concatenation [g_i, g_j] of two projected node states.
@@ -128,13 +129,11 @@ def graph_attention_batch_forward(
     d_out = proj.shape[1]
     if attn_vec.ndim != 1 or attn_vec.size != 2 * d_out:
         raise ShapeError(f"attn_vec length {attn_vec.size} != 2 x proj cols {d_out}")
-    if H.ndim != 3 or adjacency.ndim != 3:
-        raise ShapeError("batched inputs must have a leading batch axis")
-    if H.shape[1] != adjacency.shape[1] or adjacency.shape[0] != H.shape[0]:
+    if H.ndim != 3 or H.shape[2] != proj.shape[0]:
+        raise ShapeError(f"node states {H.shape} must be (B, N, {proj.shape[0]})")
+    if adjacency is not None and (adjacency.ndim != 3 or adjacency.shape[:2] != H.shape[:2]):
         raise ShapeError(f"node counts differ: H {H.shape}, adjacency {adjacency.shape}")
-    if H.shape[2] != proj.shape[0]:
-        raise ShapeError(f"state width {H.shape[2]} != proj rows {proj.shape[0]}")
-    _check_adjacency(adjacency)
+    mask = None if adjacency is None else _check_adjacency(adjacency) > 0.5
     assert_finite(H, "node states")
 
     a_src = attn_vec[:d_out]
@@ -145,12 +144,11 @@ def graph_attention_batch_forward(
     dst = g @ a_dst  # (B, N)
     pre = src[:, :, None] + dst[:, None, :]  # (B, N, N)
     beta = leaky_relu(pre, leaky_slope)
-    mask = adjacency > 0.5
     alpha = masked_softmax(beta, mask)
     agg = alpha @ g  # (B, N, d_out)
     out = relu(agg)
     cache = GraphAttentionCache(
-        H=H, mask=mask, g=g, pre=pre, alpha=alpha, agg=agg,
+        H=H, g=g, pre=pre, alpha=alpha, agg=agg,
         proj=proj, attn_vec=attn_vec, leaky_slope=leaky_slope,
     )
     return out, alpha, cache
@@ -192,32 +190,21 @@ def graph_attention_batch_backward(
 
 
 def graph_attention_forward(
-    H: Matrix, adjacency: Matrix, params: dict, leaky_slope: float = LEAKY_SLOPE
+    H: Matrix, adjacency: Matrix | None, params: dict, leaky_slope: float = LEAKY_SLOPE
 ) -> tuple[Matrix, Matrix, GraphAttentionCache]:
-    """Single-example masked attention over an (N, d_in) state matrix.
+    """Single-example attention over an (N, d_in) state matrix, masked by
+    an (N, N) adjacency, or over every node when ``adjacency`` is None.
 
     Returns updated states (N, d_out), the row-stochastic attention matrix
     (exact zeros outside the adjacency), and the cache for backward.
     """
     H = np.asarray(H, dtype=np.float64)
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    if H.ndim != 2 or adjacency.ndim != 2:
-        raise ShapeError("expected 2-D node states and adjacency")
-    out, alpha, cache = graph_attention_batch_forward(
-        H[None], adjacency[None], params, leaky_slope
-    )
-    return out[0], alpha[0], cache
-
-
-def self_attention_forward(
-    H: Matrix, params: dict, leaky_slope: float = LEAKY_SLOPE
-) -> tuple[Matrix, Matrix, GraphAttentionCache]:
-    """The fully-connected case: identical computation, all-ones adjacency."""
-    H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:
         raise ShapeError("expected 2-D node states")
-    n = H.shape[0]
-    return graph_attention_forward(H, np.ones((n, n)), params, leaky_slope)
+    if adjacency is not None:
+        adjacency = np.asarray(adjacency, dtype=np.float64)[None]
+    out, alpha, cache = graph_attention_batch_forward(H[None], adjacency, params, leaky_slope)
+    return out[0], alpha[0], cache
 
 
 def graph_attention_backward(
@@ -225,8 +212,6 @@ def graph_attention_backward(
 ) -> tuple[Matrix, Matrix, np.ndarray]:
     """Single-example analytic gradients (dH, d_proj, d_attn_vec)."""
     d_out_states = np.asarray(d_out_states, dtype=np.float64)
-    if d_out_states.ndim != 2:
-        raise ShapeError("expected a 2-D cotangent")
     dH, d_proj, d_vec = graph_attention_batch_backward(cache, d_out_states[None])
     return dH[0], d_proj, d_vec
 

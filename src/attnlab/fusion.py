@@ -4,8 +4,8 @@ The hop loop takes one dict of weights per hop: graph attention's
 ``proj`` and ``attn_vec`` and the token mixer's ``mix``, which ``train``
 stores as ``fusion.<hop>.<name>``. Graph attention and the mixer each
 check the shapes they read. The graph_attention and self_attention
-variants both train through the loop and differ only in its
-``fully_connected`` flag, which swaps the adjacency for all-ones.
+variants both train through the loop and differ only in its adjacency:
+the entity graph's, or None, which is graph attention with no mask.
 
 One hop pools token representations into per-entity node states
 (mean-max over each entity's token span, giving width 2d), updates the
@@ -47,7 +47,7 @@ from .attention import (
     graph_attention_batch_forward,
     init_graph_attention_params,
 )
-from .entity_graph import ContextExample, EntityGraph
+from .entity_graph import ContextExample
 from .errors import ShapeError, ValidationError
 from .numerics import Matrix, SeededRng, mean_along, relu, relu_grad_mask
 
@@ -125,15 +125,6 @@ def pool_batch_backward(cache: PoolCache, d_nodes: np.ndarray) -> np.ndarray:
     return dC
 
 
-def tok2graph_meanmax(C: Matrix, assignment: SpanAssignment):
-    """Single example: (L, d) tokens -> (N, 2d) nodes, plus backward cache."""
-    C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2:
-        raise ShapeError("expected a 2-D token matrix")
-    out, cache = pool_batch_forward(C[None], assignment)
-    return out[0], cache
-
-
 # ---------------------------------------------------------------------------
 # back-projection: nodes -> tokens
 # ---------------------------------------------------------------------------
@@ -176,22 +167,6 @@ def unpool_batch_backward(cache: UnpoolCache, d_out: np.ndarray):
     return dC, d_nodes, d_mix
 
 
-def graph2doc(C: Matrix, nodes: Matrix, assignment: SpanAssignment, mix: Matrix):
-    """Single example back-projection; returns (tokens, cache)."""
-    C = np.asarray(C, dtype=np.float64)
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if C.ndim != 2 or nodes.ndim != 2:
-        raise ShapeError("expected 2-D token and node matrices")
-    out, cache = unpool_batch_forward(C[None], nodes[None], assignment, mix)
-    return out[0], cache
-
-
-def graph2doc_backward(cache, d_out: Matrix):
-    d_out = np.asarray(d_out, dtype=np.float64)
-    dC, d_nodes, d_mix = unpool_batch_backward(cache, d_out[None])
-    return dC[0], d_nodes[0], d_mix
-
-
 # ---------------------------------------------------------------------------
 # the hop loop
 # ---------------------------------------------------------------------------
@@ -209,26 +184,24 @@ def init_fusion_params(rng: SeededRng, token_dim: int, node_dim: int) -> dict[st
 
 def fusion_batch_forward(
     C: np.ndarray,
-    adjacency: np.ndarray,
+    adjacency: np.ndarray | None,
     assignment: SpanAssignment,
     params: Sequence[dict],
-    fully_connected: bool = False,
     leaky_slope: float = LEAKY_SLOPE,
 ):
     """Run one round of pool -> attend -> back-project per entry of
     ``params``, batched. Each entry holds one hop's ``proj``, ``attn_vec``
-    and ``mix``. With ``fully_connected`` the adjacency is replaced by
-    all-ones, the degenerate unmasked case.
+    and ``mix``. ``adjacency`` (B, N, N) masks the node attention; None
+    lets every node attend to every node.
     """
     if not params:
         raise ValidationError("hop count must be >= 1")
-    adj = np.ones_like(adjacency) if fully_connected else adjacency
     traces = []
     hop_caches = []
     x = C
     for p in params:
         nodes, pool_c = pool_batch_forward(x, assignment)
-        upd, alpha, att_c = graph_attention_batch_forward(nodes, adj, p, leaky_slope)
+        upd, alpha, att_c = graph_attention_batch_forward(nodes, adjacency, p, leaky_slope)
         x, unpool_c = unpool_batch_forward(x, upd, assignment, p["mix"])
         traces.append(alpha)
         hop_caches.append((pool_c, att_c, unpool_c))
@@ -250,21 +223,19 @@ def fusion_batch_backward(hop_caches, d_out: np.ndarray):
 
 def fusion_block_forward(
     C0: Matrix,
-    graph: EntityGraph,
+    adjacency: Matrix | None,
     assignment: SpanAssignment,
     params: Sequence[dict],
-    fully_connected: bool = False,
     leaky_slope: float = LEAKY_SLOPE,
 ):
-    """Single-example hop loop; returns (tokens, per-hop traces, cache)."""
+    """Single-example hop loop over (N, N) ``adjacency``, or over every node
+    when it is None; returns (tokens, per-hop traces, cache)."""
     C0 = np.asarray(C0, dtype=np.float64)
     if C0.ndim != 2:
         raise ShapeError("expected a 2-D token matrix")
-    if graph.n != assignment.num_entities:
-        raise ShapeError("graph node count disagrees with span assignment")
-    out, traces, cache = fusion_batch_forward(
-        C0[None], graph.adjacency[None], assignment, params, fully_connected, leaky_slope
-    )
+    if adjacency is not None:
+        adjacency = np.asarray(adjacency, dtype=np.float64)[None]
+    out, traces, cache = fusion_batch_forward(C0[None], adjacency, assignment, params, leaky_slope)
     return out[0], [t[0] for t in traces], cache
 
 

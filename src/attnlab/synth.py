@@ -227,4 +227,12 @@ def write_labels_jsonl(examples, labels, path: str | Path) -> None:
 
 def load_labels_jsonl(path: str | Path) -> dict[str, int]:
     """Read ``{"id", "answer_node"}`` JSONL lines; errors name the line."""
-    return dict(read_jsonl(path, lambda row: (str(row["id"]), int(row["answer_node"]))))
+    labels: dict[str, int] = {}
+
+    def parse(row: dict) -> None:
+        if str(row["id"]) in labels:
+            raise ValueError(f"id {row['id']!r} is labelled twice")
+        labels[str(row["id"])] = int(row["answer_node"])
+
+    read_jsonl(path, parse)
+    return labels

@@ -6,10 +6,10 @@ stack between embedding and scoring:
 
 * ``graph_attention``: ``fusion``'s hop loop (pool -> masked attention
   -> token back-projection) with one parameter set per hop.
-* ``self_attention``: the same hop loop with its ``fully_connected``
-  flag set, which swaps the adjacency for all-ones. A
-  ``graph_attention`` run with ``force_fully_connected`` sets the same
-  flag, so the two produce bit-identical losses step for step.
+* ``self_attention``: the same hop loop with no adjacency, so node
+  attention runs unmasked over every node. A ``graph_attention`` run
+  with ``force_fully_connected`` passes no adjacency either, so the two
+  produce bit-identical losses step for step.
 * ``transformer``: a post-norm encoder stack over tokens.
 * ``none``: no reasoning layers at all. Per-node features cannot see
   the question, so this baseline hovers near chance and anchors the
@@ -172,6 +172,13 @@ def prepare_task_data(
             raise ValidationError(
                 "batched training requires a shared token/span layout across examples"
             )
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = np.flatnonzero((labels < 0) | (labels >= len(spans)))
+    if bad.size:
+        raise ValidationError(
+            f"example {examples[bad[0]].id!r}: answer_node {labels[bad[0]]} is not one of "
+            f"its {len(spans)} nodes"
+        )
     if vocab is None:
         vocab = sorted({tok for ex in examples for tok in ex.tokens})
     index = {tok: i for i, tok in enumerate(vocab)}
@@ -186,7 +193,7 @@ def prepare_task_data(
     dens = np.array([density(g) for g in graphs])
     return TaskData(
         examples=list(examples),
-        labels=np.asarray(labels, dtype=np.int64),
+        labels=labels,
         token_ids=token_ids,
         adjacency=adjacency,
         densities=dens,
@@ -262,10 +269,10 @@ def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.n
         layers = _layers(params, "tf", cfg.hops)
         x, _, body_cache = transformer_batch_forward(x, layers, cfg.num_heads)
     elif cfg.variant != "none":
-        fully_connected = cfg.variant == "self_attention" or cfg.force_fully_connected
+        unmasked = cfg.variant == "self_attention" or cfg.force_fully_connected
         x, _, body_cache = fusion_batch_forward(
-            x, data.adjacency[idx], data.assignment, _layers(params, "fusion", cfg.hops),
-            fully_connected, cfg.leaky_slope,
+            x, None if unmasked else data.adjacency[idx], data.assignment,
+            _layers(params, "fusion", cfg.hops), cfg.leaky_slope,
         )
     nodes, pool_c = pool_batch_forward(x, data.assignment)
     return nodes @ params["scorer"], (tok, body_cache, pool_c, nodes)

@@ -10,7 +10,6 @@ from attnlab.attention import (
     graph_attention_forward,
     init_graph_attention_params,
     masked_softmax,
-    self_attention_forward,
 )
 from attnlab.errors import ShapeError, ValidationError
 from attnlab.numerics import SeededRng
@@ -72,7 +71,7 @@ def test_self_attention_is_graph_attention_with_ones_bitwise():
         H = rng.normal((n, 3))
         params = init_graph_attention_params(rng.split(5), 3, 4)
         a = graph_attention_forward(H, np.ones((n, n)), params)
-        b = self_attention_forward(H, params)
+        b = graph_attention_forward(H, None, params)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 

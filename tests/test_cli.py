@@ -311,6 +311,35 @@ def test_bad_labels_lines_are_rejected(tmp_path, capsys):
         assert f"{bad}:6:" in capsys.readouterr().err
 
 
+def test_labels_id_given_twice_is_rejected(tmp_path, capsys):
+    data, labs = small_dataset(tmp_path, n=30)
+    lines = labs.read_text().splitlines()
+    row = json.loads(lines[4])
+    again = json.dumps({"id": row["id"], "answer_node": 0 if row["answer_node"] else 1})
+    bad = tmp_path / "twice_labels.jsonl"
+    bad.write_text("\n".join(lines + [again]) + "\n")
+    rc = main(["train", "--dataset", str(data), "--labels", str(bad), "--set", "epochs=1",
+               "--set", "hidden_dim=4", "--test-count", "10", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:31:" in err and row["id"] in err
+
+
+@pytest.mark.parametrize("answer_node", [99, -1])
+def test_out_of_range_answer_node_is_rejected(tmp_path, capsys, answer_node):
+    data, labs = small_dataset(tmp_path, n=30)
+    lines = labs.read_text().splitlines()
+    ex_id = json.loads(lines[17])["id"]
+    lines[17] = json.dumps({"id": ex_id, "answer_node": answer_node})
+    bad = tmp_path / "range_labels.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--dataset", str(data), "--labels", str(bad), "--set", "epochs=1",
+               "--set", "hidden_dim=4", "--test-count", "10", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ex_id in err and f"answer_node {answer_node}" in err
+
+
 def test_mismatched_checkpoint_is_rejected(tmp_path, capsys):
     data, labs = small_dataset(tmp_path, n=30)
     cfg = write_config(
@@ -372,8 +401,7 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
 
 
 def _run_every_writer(out: Path) -> None:
-    """Every subcommand that writes a reproducible file, at small sizes, into
-    ``out`` (equivalence-check and gradcheck record their wall time)."""
+    """Every subcommand that writes a file, at small sizes, into ``out``."""
     short = ["--set", "hidden_dim=12", "--set", "epochs=1", "--set", "batch_size=16",
              "--set", "seed=5", "--set", "learning_rate=0.001", "--test-count", "10"]
     assert main(["gen-synthetic", "--config", str(write_config(out.parent / "task.cfg", TASK_KEYS)),
@@ -389,6 +417,9 @@ def _run_every_writer(out: Path) -> None:
                  "--dataset", str(data), "--labels", str(labs), "--out", str(out)]) == 0
     assert main(["probe-heads", "--traces", str(out / "traces_transformer_seed5.jsonl"),
                  "--out", str(out)]) == 0
+    assert main(["equivalence-check", "--instances", "20", "--loop-instances", "5",
+                 "--out", str(out)]) == 0
+    assert main(["gradcheck", "--instances", "2", "--out", str(out)]) == 0
 
 
 def test_cli_artifacts_are_deterministic(tmp_path):
@@ -401,7 +432,7 @@ def test_cli_artifacts_are_deterministic(tmp_path):
                      if not p.name.startswith("run_")})
     assert sorted(runs[0]) == sorted(runs[1])
     assert {name.rsplit(".", 1)[1] for name in runs[0]} == {"json", "jsonl", "csv"}
-    assert len(runs[0]) == 17, sorted(runs[0])  # every file the seven commands write
+    assert len(runs[0]) == 19, sorted(runs[0])  # every file the nine commands write
     for name, blob in runs[0].items():
         assert blob == runs[1][name], name
         assert b"\r" not in blob, name

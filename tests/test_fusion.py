@@ -3,15 +3,12 @@ import pytest
 
 from attnlab.attention import init_graph_attention_params
 from attnlab.checks import gradcheck_fusion, gradcheck_graph2doc
-from attnlab.entity_graph import EntityGraph
 from attnlab.errors import ShapeError, ValidationError
 from attnlab.fusion import (
     SpanAssignment,
     fusion_block_forward,
-    graph2doc,
     pool_batch_backward,
     pool_batch_forward,
-    tok2graph_meanmax,
     unpool_batch_backward,
     unpool_batch_forward,
 )
@@ -25,16 +22,16 @@ POOL_SPANS = [(0, 3), (2, 5), (2, 5), (6, 7), (5, 9)]
 def test_single_token_span_mean_equals_max():
     asg = SpanAssignment([(1, 2)], 3)
     C = np.array([[0.0, 0.0], [2.0, -3.0], [0.0, 0.0]])
-    nodes, _ = tok2graph_meanmax(C, asg)
-    np.testing.assert_array_equal(nodes, [[2.0, -3.0, 2.0, -3.0]])
+    nodes, _ = pool_batch_forward(C[None], asg)
+    np.testing.assert_array_equal(nodes[0], [[2.0, -3.0, 2.0, -3.0]])
 
 
 def test_meanmax_worked_example():
     # span rows [1, 3] and [2, 2]: mean (1.5, 2.5), max (2, 3)
     asg = SpanAssignment([(0, 2)], 2)
     C = np.array([[1.0, 3.0], [2.0, 2.0]])
-    nodes, _ = tok2graph_meanmax(C, asg)
-    np.testing.assert_array_equal(nodes, [[1.5, 2.5, 2.0, 3.0]])
+    nodes, _ = pool_batch_forward(C[None], asg)
+    np.testing.assert_array_equal(nodes[0], [[1.5, 2.5, 2.0, 3.0]])
 
 
 def test_meanmax_matches_loop_oracle_and_width():
@@ -45,7 +42,7 @@ def test_meanmax_matches_loop_oracle_and_width():
         spans = [(0, 2), (2, min(5, L)), (min(5, L), L)]
         spans = [(s, e) for s, e in spans if e > s]
         C = rng.normal((L, d))
-        nodes, _ = tok2graph_meanmax(C, SpanAssignment(spans, L))
+        nodes = pool_batch_forward(C[None], SpanAssignment(spans, L))[0][0]
         assert nodes.shape == (len(spans), 2 * d)
         np.testing.assert_allclose(nodes, loop_meanmax(C, spans), atol=1e-12)
         # max half dominates mean half per dimension per node
@@ -56,10 +53,10 @@ def test_meanmax_invariant_to_in_span_permutation():
     rng = SeededRng(1)
     C = rng.normal((6, 3))
     asg = SpanAssignment([(1, 5)], 6)
-    nodes, _ = tok2graph_meanmax(C, asg)
+    nodes, _ = pool_batch_forward(C[None], asg)
     C2 = C.copy()
     C2[1:5] = C[[4, 2, 1, 3]]
-    nodes2, _ = tok2graph_meanmax(C2, asg)
+    nodes2, _ = pool_batch_forward(C2[None], asg)
     np.testing.assert_allclose(nodes2, nodes, atol=1e-12)
 
 
@@ -73,8 +70,8 @@ def test_graph2doc_zero_nodes_identity_mix():
     asg = SpanAssignment([(0, 2)], 4)
     C = np.array([[1.0, -1.0, 2.0], [0.5, 0.25, -2.0], [3.0, -3.0, 0.0], [0.1, 0.2, 0.3]])
     mix = np.vstack([np.eye(d), np.zeros((w, d))])
-    out, _ = graph2doc(C, np.zeros((1, w)), asg, mix)
-    np.testing.assert_array_equal(out, np.maximum(C, 0.0))
+    out, _ = unpool_batch_forward(C[None], np.zeros((1, 1, w)), asg, mix)
+    np.testing.assert_array_equal(out[0], np.maximum(C, 0.0))
 
 
 def test_graph2doc_summary_mean_of_covering_entities():
@@ -91,7 +88,7 @@ def test_graph2doc_summary_mean_of_covering_entities():
 def test_graph2doc_shape_errors():
     asg = SpanAssignment([(0, 1)], 2)
     with pytest.raises(ShapeError):
-        graph2doc(np.ones((2, 3)), np.ones((1, 2)), asg, np.ones((4, 3)))
+        unpool_batch_forward(np.ones((1, 2, 3)), np.ones((1, 1, 2)), asg, np.ones((4, 3)))
 
 
 def test_pool_backward_matches_finite_differences_on_overlapping_spans():
@@ -159,20 +156,19 @@ def test_fusion_single_hop_equals_manual_composition():
     asg = SpanAssignment(spans, L)
     adj = np.eye(3)
     adj[0, 1] = adj[1, 0] = 1.0
-    graph = EntityGraph(n=3, mentions=["a", "b", "c"], adjacency=adj)
     params = {
         **init_graph_attention_params(rng.split(0), 2 * d, d),
         "mix": rng.split(1).normal((2 * d, d)),
     }
     C0 = rng.normal((L, d))
-    out, traces, _ = fusion_block_forward(C0, graph, asg, [params])
+    out, traces, _ = fusion_block_forward(C0, adj, asg, [params])
 
     from attnlab.attention import graph_attention_forward
 
-    nodes, _ = tok2graph_meanmax(C0, asg)
-    upd, alpha, _ = graph_attention_forward(nodes, adj, params)
-    manual, _ = graph2doc(C0, upd, asg, params["mix"])
-    np.testing.assert_array_equal(out, manual)
+    nodes, _ = pool_batch_forward(C0[None], asg)
+    upd, alpha, _ = graph_attention_forward(nodes[0], adj, params)
+    manual, _ = unpool_batch_forward(C0[None], upd[None], asg, params["mix"])
+    np.testing.assert_array_equal(out, manual[0])
     np.testing.assert_array_equal(traces[0], alpha)
 
 
@@ -181,17 +177,14 @@ def test_fusion_degeneracy_lifts_through_pipeline():
     L, d = 10, 2
     spans = [(0, 2), (2, 4), (5, 7), (8, 10)]
     asg = SpanAssignment(spans, L)
-    graph = EntityGraph(n=4, mentions=[""] * 4, adjacency=np.ones((4, 4)))
     params = {
         **init_graph_attention_params(rng.split(0), 2 * d, d),
         "mix": rng.split(1).normal((2 * d, d)),
     }
     C0 = rng.normal((L, d))
     for hops in (1, 2, 3):
-        masked, _, _ = fusion_block_forward(C0, graph, asg, [params] * hops)
-        unmasked, _, _ = fusion_block_forward(
-            C0, graph, asg, [params] * hops, fully_connected=True
-        )
+        masked, _, _ = fusion_block_forward(C0, np.ones((4, 4)), asg, [params] * hops)
+        unmasked, _, _ = fusion_block_forward(C0, None, asg, [params] * hops)
         assert np.array_equal(masked, unmasked)
 
 
@@ -200,7 +193,6 @@ def test_fusion_no_nan_and_per_hop_params():
     L, d = 9, 2
     spans = [(0, 2), (4, 6)]
     asg = SpanAssignment(spans, L)
-    graph = EntityGraph(n=2, mentions=["", ""], adjacency=np.ones((2, 2)))
     plist = [
         {
             **init_graph_attention_params(rng.split(i), 2 * d, d),
@@ -208,7 +200,7 @@ def test_fusion_no_nan_and_per_hop_params():
         }
         for i in range(2)
     ]
-    out, traces, _ = fusion_block_forward(rng.normal((L, d)), graph, asg, plist)
+    out, traces, _ = fusion_block_forward(rng.normal((L, d)), np.ones((2, 2)), asg, plist)
     assert np.isfinite(out).all()
     assert len(traces) == 2
 

@@ -82,8 +82,9 @@ def test_variant_gradients_match_finite_differences(variant):
 
 
 def test_batched_forward_matches_per_example_modules():
-    from attnlab.fusion import fusion_block_forward
     from attnlab.entity_graph import build_graph
+    from attnlab.fusion import fusion_block_forward, pool_batch_forward
+    from attnlab.train import _layers
 
     data = small_data(n=10, n_test=2)
     cfg = small_cfg("graph_attention", hidden_dim=8)
@@ -91,18 +92,14 @@ def test_batched_forward_matches_per_example_modules():
     idx = np.arange(4)
     scores, cache = model_forward(cfg, params, data, idx)
 
-    from attnlab.train import _layers
-
     plist = _layers(params, "fusion", cfg.hops)
     asg = data.assignment
     for row, i in enumerate(idx):
         x0 = params["embed"][data.token_ids[i]] + params["pos"]
         graph = build_graph(data.examples[i])
-        out, _, _ = fusion_block_forward(x0, graph, asg, plist)
-        from attnlab.fusion import tok2graph_meanmax
-
-        nodes, _ = tok2graph_meanmax(out, asg)
-        np.testing.assert_allclose(nodes @ params["scorer"], scores[row], atol=1e-10)
+        out, _, _ = fusion_block_forward(x0, graph.adjacency, asg, plist)
+        nodes, _ = pool_batch_forward(out[None], asg)
+        np.testing.assert_allclose(nodes[0] @ params["scorer"], scores[row], atol=1e-10)
 
 
 def test_degeneracy_step_identity_between_variants():
