@@ -12,7 +12,9 @@ loss curve as ``float.hex``, the sha256 of the parameters in sorted-name
 order, the sha256 of the held-out scores and the sha256 of the bytes of
 the saved checkpoint. The transformer line also holds the sha256 of the
 attention traces ``transformer_traces`` exports for the first 8 held-out
-examples (every head's matrix, layer by layer). The next line holds the
+examples (every head's matrix, layer by layer) and the ``head_report_rows``
+of those traces, one ``[layer, head, colmean, rawsum, rank]`` per head with
+both scores as ``float.hex``. The next line holds the
 ``run_gradcheck_suite(5, 3)`` errors as ``float.hex``, the next the
 ``degeneracy_suite(200, 2024)`` maximum deviations (an all-ones mask
 vs. no mask, and vs. the loop reference) as ``float.hex``, and a last line
@@ -39,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from attnlab.checks import degeneracy_suite, run_gradcheck_suite  # noqa: E402
 from attnlab.cli import main as cli_main  # noqa: E402
+from attnlab.head_probe import head_report_rows  # noqa: E402
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic  # noqa: E402
 from attnlab.train import (  # noqa: E402
     ExperimentConfig,
@@ -116,6 +119,11 @@ def main() -> None:
                 line["traces_sha256"] = _sha256(
                     head for t in traces for layer in t.layers for head in layer
                 )
+                line["head_report"] = [
+                    [r["layer"], r["head"], r["score_colmean"].hex(), r["score_rawsum"].hex(),
+                     r["rank"]]
+                    for r in head_report_rows(traces)
+                ]
             print(json.dumps(line, sort_keys=True))
     errors = run_gradcheck_suite(5, 3)
     print(json.dumps({"gradcheck": {k: errors[k].hex() for k in GRADCHECK_KEYS}}, sort_keys=True))

@@ -30,7 +30,7 @@ from .attention import (
     transformer_backward,
     transformer_forward,
 )
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 from .fusion import (
     SpanAssignment,
     fusion_block_backward,
@@ -95,6 +95,10 @@ def degeneracy_suite(
     Also cross-checks the first ``loop_instances`` cases against the
     plain-loop reference evaluator. Returns the max deviations.
     """
+    if instances < 1 or loop_instances < 0:
+        raise ValidationError(
+            f"need instances >= 1 and loop_instances >= 0, got {instances} and {loop_instances}"
+        )
     rng = SeededRng(seed)
     max_pair = 0.0
     max_loop = 0.0
@@ -115,7 +119,7 @@ def degeneracy_suite(
             max_loop = max(max_loop, _deviation((ref_out, out_self), (ref_alpha, alpha_self)))
     return {
         "instances": instances,
-        "loop_instances": loop_instances,
+        "loop_instances": min(loop_instances, instances),
         "max_pair_deviation": max_pair,
         "max_loop_deviation": max_loop,
     }
@@ -316,6 +320,8 @@ def gradcheck_transformer(instances: int = 100, seed: int = 10, eps: float = 1e-
 
 
 def run_gradcheck_suite(instances: int = 100, seed: int = 3) -> dict:
+    if instances < 1:
+        raise ValidationError(f"need instances >= 1, got {instances}")
     results = {
         "graph_attention": gradcheck_graph_attention(instances, seed + 1),
         "graph2doc": gradcheck_graph2doc(instances, seed + 2),

@@ -29,7 +29,8 @@ from .entity_graph import (
     quantile_partition,
 )
 from .errors import GenerationError, TrainingError, ValidationError
-from .head_probe import head_report_rows, load_traces, save_traces, write_head_report_csv
+from .head_probe import check_entity_mask, head_report_rows, load_traces, save_traces
+from .head_probe import write_head_report_csv
 from .serialize import write_csv, write_json
 from .synth import (
     SyntheticTaskConfig,
@@ -104,6 +105,11 @@ def _quantiles(args) -> tuple[float, ...]:
         raise ValidationError(f"--quantiles {args.quantiles!r}: {exc}") from None
 
 
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValidationError(f"{flag} {value}: must be >= {least}")
+
+
 def _check_test_count(count: int, n: int) -> None:
     if not 0 <= count < n:
         raise ValidationError(f"--test-count {count}: must lie in [0, {n}) for {n} examples")
@@ -147,10 +153,12 @@ def cmd_density_report(args) -> int:
 
 
 def cmd_equivalence_check(args) -> int:
-    out = _out_dir(args)
+    _check_at_least("--instances", args.instances, 1)
+    _check_at_least("--loop-instances", args.loop_instances, 0)
     result = checks.degeneracy_suite(
         instances=args.instances, seed=args.seed, loop_instances=args.loop_instances
     )
+    out = _out_dir(args)
     result["tolerance"] = EQUIV_TOL
     worst = max(result["max_pair_deviation"], result["max_loop_deviation"])
     result["passed"] = bool(worst <= EQUIV_TOL)
@@ -163,8 +171,9 @@ def cmd_equivalence_check(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    out = _out_dir(args)
+    _check_at_least("--instances", args.instances, 1)
     result = checks.run_gradcheck_suite(instances=args.instances, seed=args.seed)
+    out = _out_dir(args)
     result["tolerance"] = GRAD_TOL
     result["passed"] = bool(result["max_relative_error"] <= GRAD_TOL)
     write_json(result, out / "gradcheck.json")
@@ -187,8 +196,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_train(args) -> int:
     quantiles = _quantiles(args)
-    if args.emit_traces < 0:
-        raise ValidationError(f"--emit-traces {args.emit_traces}: N must be >= 0")
+    _check_at_least("--emit-traces", args.emit_traces, 0)
     if args.dataset:
         (cfg,) = _build_configs(args, ExperimentConfig)
     else:
@@ -207,6 +215,8 @@ def cmd_train(args) -> int:
         _check_test_count(args.test_count, task.num_examples)
         examples, labels = generate_synthetic(task)
     data = prepare_task_data(examples, labels, n_test=args.test_count)
+    if args.emit_traces:
+        check_entity_mask(data.entity_mask)
     out = _out_dir(args)
     model, report = train(cfg, data, quantiles=quantiles)
     stem = f"{cfg.variant}_seed{cfg.seed}"

@@ -1,5 +1,7 @@
 """Search serialized attention traces for entity-centered heads.
 
+A trace holds one example's attention as one float64 array of shape
+``(layers, heads, L, L)``, and every head of it is scored in one pass.
 A head's score contrasts the absolute attention mass arriving at
 entity-token columns against the mass arriving at the remaining columns.
 The default uses per-column-group means so that masks with many entity
@@ -17,99 +19,92 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .numerics import Matrix
 from .serialize import read_jsonl, write_csv, write_jsonl
 
 ROW_SUM_TOL = 1e-6
+MODES = ("colmean", "rawsum")
+
+
+def check_entity_mask(entity_mask: np.ndarray) -> np.ndarray:
+    """The mask itself, once it is boolean and flags some but not all tokens."""
+    if entity_mask.dtype != np.bool_ or entity_mask.ndim != 1:
+        raise ValidationError("entity_mask must be a boolean vector")
+    if entity_mask.all() or not entity_mask.any():
+        raise ValidationError(
+            f"entity_mask flags {entity_mask.sum()} of {entity_mask.size} tokens: "
+            "a head score needs both entity and non-entity tokens"
+        )
+    return entity_mask
 
 
 @dataclass
 class AttentionTrace:
-    """Per-example attention stack: layers x heads of L x L matrices,
-    plus a boolean mask flagging tokens inside entity spans."""
+    """One example's attention: ``layers`` is a float64 array of shape
+    ``(layers, heads, L, L)`` whose rows each sum to one, and
+    ``entity_mask`` flags the L tokens that lie inside entity spans."""
 
     example_id: str
-    layers: list[list[Matrix]]
+    layers: np.ndarray
     entity_mask: np.ndarray
 
     def validate(self) -> "AttentionTrace":
-        L = self.entity_mask.size
-        if self.entity_mask.dtype != np.bool_:
-            raise ValidationError("entity_mask must be boolean")
-        if not self.layers or any(not heads for heads in self.layers):
-            raise ValidationError("trace needs at least one layer and head")
-        width = len(self.layers[0])
-        for li, heads in enumerate(self.layers):
-            if len(heads) != width:
-                raise ValidationError(f"layer {li} has {len(heads)} heads, expected {width}")
-            for hi, A in enumerate(heads):
-                if A.shape != (L, L):
-                    raise ShapeError(
-                        f"layer {li} head {hi}: matrix {A.shape} vs mask length {L}"
-                    )
-                if np.abs(A.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-                    raise ValidationError(
-                        f"layer {li} head {hi}: rows must sum to 1 within {ROW_SUM_TOL}"
-                    )
+        L = check_entity_mask(self.entity_mask).size
+        A = self.layers
+        if A.ndim != 4 or A.shape[2:] != (L, L) or not A.shape[0] * A.shape[1]:
+            raise ShapeError(f"layers {A.shape}: expected (layers >= 1, heads >= 1, {L}, {L})")
+        ok = ((A >= 0.0) & (A < np.inf)).all(axis=(2, 3))  # NaN fails too
+        ok &= (np.abs(A.sum(axis=3) - 1.0) <= ROW_SUM_TOL).all(axis=2)
+        if not ok.all():
+            li, hi = np.argwhere(~ok)[0]
+            raise ValidationError(
+                f"layer {li} head {hi}: entries must be finite and >= 0, "
+                f"and rows must sum to 1 within {ROW_SUM_TOL}"
+            )
         return self
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
 
-    @property
-    def num_heads(self) -> int:
-        return len(self.layers[0])
+def _scores(A: np.ndarray, entity_mask: np.ndarray) -> np.ndarray:
+    """(len(MODES), ...): each mode's score of every (L, L) matrix of ``A``."""
+    mask = check_entity_mask(entity_mask)
+    if A.ndim < 2 or A.shape[-2:] != (mask.size, mask.size):
+        raise ShapeError(f"expected (..., {mask.size}, {mask.size}) matrices, got {A.shape}")
+    col_totals = np.abs(A).sum(axis=-2)
+    # np.compress lays each group out contiguously, so it sums in a 1-D slice's
+    # order; a [..., mask] gather puts that axis outermost and moves the last bits
+    ent = np.compress(mask, col_totals, axis=-1)
+    rest = np.compress(~mask, col_totals, axis=-1)
+    return np.stack([ent.mean(axis=-1) - rest.mean(axis=-1), ent.sum(axis=-1) - rest.sum(axis=-1)])
 
 
-def head_entity_score(
-    A: Matrix,
-    entity_mask: np.ndarray,
-    mode: str = "colmean",
-) -> float:
-    """Entity-column incoming mass minus non-entity-column mass.
+def head_entity_score(A: np.ndarray, entity_mask: np.ndarray, mode: str = "colmean") -> np.ndarray:
+    """Entity-column incoming mass minus non-entity-column mass of each
+    (L, L) matrix over the last two axes of ``A``; leading axes are kept.
 
     mode "colmean" averages the per-column totals inside each group;
     "rawsum" adds them up without averaging.
     """
-    A = np.asarray(A, dtype=np.float64)
-    mask = np.asarray(entity_mask, dtype=bool)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {A.shape}")
-    if mask.size != A.shape[0]:
-        raise ShapeError("mask length must match the matrix")
-    if mask.all() or not mask.any():
-        raise ValueError("score needs both entity and non-entity tokens")
-    col_totals = np.abs(A).sum(axis=0)
-    if mode == "colmean":
-        return float(col_totals[mask].mean() - col_totals[~mask].mean())
-    if mode == "rawsum":
-        return float(col_totals[mask].sum() - col_totals[~mask].sum())
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    scores = _scores(np.asarray(A, dtype=np.float64), np.asarray(entity_mask, dtype=bool))
+    return scores[MODES.index(mode)]
 
 
-def rank_heads(
-    traces: Sequence[AttentionTrace],
-    mode: str = "colmean",
-) -> list[tuple[int, int, float]]:
-    """Average per-head scores over examples; descending, ties by index."""
+def _mean_scores(traces: Sequence[AttentionTrace]) -> np.ndarray:
+    """(len(MODES), layers, heads): each head's scores averaged over the traces."""
     if not traces:
-        raise ValueError("rank_heads needs at least one trace")
-    first = traces[0]
-    shape = (first.num_layers, first.num_heads)
-    totals = np.zeros(shape)
+        raise ValueError("head scores need at least one trace")
+    shape = traces[0].layers.shape[:2]
+    total = np.zeros((len(MODES), *shape))
     for tr in traces:
-        if (tr.num_layers, tr.num_heads) != shape:
+        if tr.layers.shape[:2] != shape:
             raise ShapeError("traces disagree on layer/head geometry")
-        for li, heads in enumerate(tr.layers):
-            for hi, A in enumerate(heads):
-                totals[li, hi] += head_entity_score(A, tr.entity_mask, mode)
-    means = totals / len(traces)
-    ranked = sorted(
-        ((li, hi, float(means[li, hi])) for li in range(shape[0]) for hi in range(shape[1])),
-        key=lambda t: (-t[2], t[0], t[1]),
-    )
-    return ranked
+        total += _scores(tr.layers, tr.entity_mask)
+    return total / len(traces)
+
+
+def rank_heads(traces: Sequence[AttentionTrace]) -> list[tuple[int, int, float]]:
+    """(layer, head, colmean score averaged over examples); descending, ties by index."""
+    return [(r["layer"], r["head"], r["score_colmean"]) for r in head_report_rows(traces)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +116,14 @@ def trace_to_json_dict(trace: AttentionTrace) -> dict:
     return {
         "example_id": trace.example_id,
         "entity_mask": [bool(b) for b in trace.entity_mask],
-        "layers": [[A.tolist() for A in heads] for heads in trace.layers],
+        "layers": trace.layers.tolist(),
     }
 
 
 def trace_from_json_dict(d: dict) -> AttentionTrace:
     return AttentionTrace(
         example_id=str(d["example_id"]),
-        layers=[
-            [np.asarray(A, dtype=np.float64) for A in heads] for heads in d["layers"]
-        ],
+        layers=np.asarray(d["layers"], dtype=np.float64),
         entity_mask=np.asarray(d["entity_mask"], dtype=bool),
     ).validate()
 
@@ -145,20 +138,13 @@ def load_traces(path: str | Path) -> list[AttentionTrace]:
 
 def head_report_rows(traces: Sequence[AttentionTrace]) -> list[dict]:
     """Per-head report with both scoring modes; rank follows colmean."""
-    ranked = rank_heads(traces, mode="colmean")
-    raw = {(li, hi): s for li, hi, s in rank_heads(traces, mode="rawsum")}
-    rows = []
-    for rank, (li, hi, score) in enumerate(ranked, start=1):
-        rows.append(
-            {
-                "layer": li,
-                "head": hi,
-                "score_colmean": score,
-                "score_rawsum": raw[(li, hi)],
-                "rank": rank,
-            }
-        )
-    return rows
+    colmean, rawsum = _mean_scores(traces)
+    ranked = sorted(np.ndindex(colmean.shape), key=lambda lh: (-colmean[lh], lh))
+    return [
+        dict(layer=li, head=hi, score_colmean=float(colmean[li, hi]),
+             score_rawsum=float(rawsum[li, hi]), rank=rank)
+        for rank, (li, hi) in enumerate(ranked, start=1)
+    ]
 
 
 def write_head_report_csv(rows: Sequence[dict], path: str | Path) -> None:

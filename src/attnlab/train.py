@@ -118,8 +118,10 @@ class ExperimentConfig:
         for name in ("hops", "hidden_dim", "epochs", "batch_size", "num_heads"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        for name in ("learning_rate", "embed_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # NaN fails too
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
         if self.variant == "transformer" and self.hidden_dim % self.num_heads:
             raise ValidationError("num_heads must divide hidden_dim")
         if not 0.0 < self.leaky_slope < 1.0:
@@ -151,6 +153,11 @@ class TaskData:
     @property
     def test_idx(self) -> np.ndarray:
         return np.arange(self.n - self.n_test, self.n)
+
+    @property
+    def entity_mask(self) -> np.ndarray:
+        """(L,) bool: the tokens inside some entity span."""
+        return self.assignment.averaging.any(axis=1)
 
 
 def prepare_task_data(
@@ -570,24 +577,14 @@ def transformer_traces(
         raise ValidationError("attention traces are exported from the transformer variant")
     _reuse_freed_pages()
     weights = _layers(model.params, "tf", model.cfg.hops)
-    entity_mask = np.zeros(data.token_ids.shape[1], dtype=bool)
-    for s, e in model.spans:
-        entity_mask[s:e] = True
     out = []
     for lo in range(0, idx.size, PREDICT_CHUNK):
         chunk = idx[lo : lo + PREDICT_CHUNK]
-        tok = data.token_ids[chunk]
-        traces = transformer_batch_forward(
-            model.params["embed"][tok] + model.params["pos"][None, :, :],
-            weights,
-            model.cfg.num_heads,
-        )[1]
-        for bi, i in enumerate(chunk):
-            layers = [[np.array(layer[bi, h]) for h in range(layer.shape[1])] for layer in traces]
-            out.append(
-                AttentionTrace(
-                    example_id=data.examples[i].id, layers=layers, entity_mask=entity_mask.copy()
-                ).validate()
-            )
-        del traces  # copied out; the next chunk's forward runs without them
+        x = model.params["embed"][data.token_ids[chunk]] + model.params["pos"][None, :, :]
+        # (B, layers, heads, L, L)
+        stacked = np.stack(transformer_batch_forward(x, weights, model.cfg.num_heads)[1], axis=1)
+        out.extend(
+            AttentionTrace(data.examples[i].id, stacked[bi], data.entity_mask).validate()
+            for bi, i in enumerate(chunk)
+        )
     return out

@@ -211,7 +211,8 @@ def planted_trace_layers(
     planted: tuple[int, int],
     focus: float = 0.9,
 ):
-    """Random row-stochastic heads with one head concentrating on entity columns."""
+    """(num_layers, num_heads, L, L) random row-stochastic heads, one of
+    which concentrates on entity columns."""
     layers = []
     n_ent = int(mask.sum())
     for li in range(num_layers):
@@ -226,7 +227,7 @@ def planted_trace_layers(
                 A = A + spread
             heads.append(A)
         layers.append(heads)
-    return layers
+    return np.array(layers)
 
 
 def layernorm_forward_expression(x, gain, bias, eps=1e-5):

@@ -1,0 +1,154 @@
+"""Bad command-line input ends in exit 2, before any work is written.
+
+Each row of ``CASES`` gives a subcommand's argv, built on small valid
+inputs in a temporary directory with one flag, config value or input
+record mutated, plus the expected exit code and a substring of stderr
+that names the flag, the key or the ``file:line``. Every case also
+checks that stderr holds no traceback and that an exit 2 leaves no
+``--out`` directory behind.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from attnlab.checks import degeneracy_suite, run_gradcheck_suite
+from attnlab.cli import main
+from attnlab.errors import ValidationError
+
+L = 6
+TRAIN = ["train", "--set", "hidden_dim=8", "--set", "epochs=1", "--set", "num_examples=40",
+         "--test-count", "10"]
+
+
+def _traces(tmp_path, mutate) -> str:
+    """A valid one-layer, two-head trace over ``L`` tokens, mutated in place."""
+    doc = {
+        "example_id": "t0",
+        "entity_mask": [True, True] + [False] * (L - 2),
+        "layers": np.full((1, 2, L, L), 1.0 / L).tolist(),
+    }
+    mutate(doc)
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    return str(path)
+
+
+def _set(doc, key, value):
+    doc[key] = value
+
+
+def _set_entry(doc, value):
+    doc["layers"][0][1][0][0] = value
+
+
+def _negative_row(doc):
+    doc["layers"][0][1][0][:2] = [-0.25, 1.25 - (L - 2) / L]
+
+
+def _all_entity_dataset(tmp_path) -> list[str]:
+    """Every token lies inside an entity span, so no head can be scored."""
+    data, labels = tmp_path / "data.jsonl", tmp_path / "labels.jsonl"
+    spans = [{"start": 0, "end": 2, "mention": "m0", "sentence_index": 0},
+             {"start": 2, "end": 4, "mention": "m1", "sentence_index": 1}]
+    data.write_text("".join(
+        json.dumps({"id": f"e{i}", "tokens": [f"a{i % 5}", "b", f"c{i % 3}", "d"],
+                    "sentence_spans": [[0, 2], [2, 4]], "entity_spans": spans}) + "\n"
+        for i in range(20)
+    ))
+    labels.write_text("".join(
+        json.dumps({"id": f"e{i}", "answer_node": i % 2}) + "\n" for i in range(20)
+    ))
+    return ["train", "--dataset", str(data), "--labels", str(labels), "--set", "hidden_dim=8",
+            "--set", "epochs=1", "--set", "variant=transformer", "--set", "num_heads=2",
+            "--test-count", "4", "--emit-traces", "2"]
+
+
+CASES = {
+    "equivalence-check instances 0": (
+        lambda tmp: ["equivalence-check", "--instances", "0"], 2, "--instances 0"),
+    "equivalence-check instances negative": (
+        lambda tmp: ["equivalence-check", "--instances", "-3"], 2, "--instances -3"),
+    "equivalence-check loop-instances negative": (
+        lambda tmp: ["equivalence-check", "--instances", "5", "--loop-instances", "-1"],
+        2, "--loop-instances -1"),
+    "gradcheck instances 0": (
+        lambda tmp: ["gradcheck", "--instances", "0"], 2, "--instances 0"),
+    "gradcheck instances negative": (
+        lambda tmp: ["gradcheck", "--instances", "-3"], 2, "--instances -3"),
+    "train learning_rate nan": (
+        lambda tmp: [*TRAIN, "--set", "learning_rate=nan"], 2, "learning_rate"),
+    "train learning_rate inf": (
+        lambda tmp: [*TRAIN, "--set", "learning_rate=inf"], 2, "learning_rate"),
+    "train embed_scale negative": (
+        lambda tmp: [*TRAIN, "--set", "embed_scale=-1"], 2, "embed_scale"),
+    "train embed_scale 0": (
+        lambda tmp: [*TRAIN, "--set", "embed_scale=0"], 2, "embed_scale"),
+    "train embed_scale nan": (
+        lambda tmp: [*TRAIN, "--set", "embed_scale=nan"], 2, "embed_scale"),
+    "train emit-traces with every token an entity": (
+        _all_entity_dataset, 2, "entity_mask"),
+    "probe-heads nan entry": (
+        lambda tmp: ["probe-heads", "--traces", _traces(tmp, lambda d: _set_entry(d, math.nan))],
+        2, "traces.jsonl:1: layer 0 head 1"),
+    "probe-heads negative entries in a row summing to 1": (
+        lambda tmp: ["probe-heads", "--traces", _traces(tmp, _negative_row)],
+        2, "traces.jsonl:1: layer 0 head 1"),
+    "probe-heads all-entity mask": (
+        lambda tmp: ["probe-heads", "--traces",
+                     _traces(tmp, lambda d: _set(d, "entity_mask", [True] * L))],
+        2, "traces.jsonl:1: entity_mask"),
+    "probe-heads no-entity mask": (
+        lambda tmp: ["probe-heads", "--traces",
+                     _traces(tmp, lambda d: _set(d, "entity_mask", [False] * L))],
+        2, "traces.jsonl:1: entity_mask"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bad_input_exits_as_tabled(tmp_path, capsys, case):
+    argv, code, needle = CASES[case]
+    out = tmp_path / "out"
+    assert main([*argv(tmp_path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert needle in err, err
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        [[np.eye(L).tolist(), np.eye(L).tolist()], [np.eye(L).tolist()]],  # heads differ
+        [[np.eye(L).tolist()[:-1] + [[1.0] + [0.0] * L]]],  # a row one entry longer
+    ],
+)
+def test_ragged_trace_stack_names_its_line(tmp_path, capsys, layers):
+    path = _traces(tmp_path, lambda d: _set(d, "layers", layers))
+    out = tmp_path / "out"
+    assert main(["probe-heads", "--traces", path, "--out", str(out)]) == 2
+    assert f"{path}:1:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_equivalence_report_counts_the_loop_cases_that_ran(tmp_path):
+    out = tmp_path / "out"
+    assert main(["equivalence-check", "--instances", "3", "--loop-instances", "100",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "equivalence.json").read_text())["loop_instances"] == 3
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        (degeneracy_suite, {"instances": 0}),
+        (degeneracy_suite, {"instances": 5, "loop_instances": -1}),
+        (run_gradcheck_suite, {"instances": 0}),
+    ],
+)
+def test_suites_refuse_to_check_nothing(suite, kwargs):
+    with pytest.raises(ValidationError):
+        suite(**kwargs)

@@ -7,6 +7,7 @@ from attnlab.errors import ValidationError
 from attnlab.head_probe import (
     AttentionTrace,
     head_entity_score,
+    head_report_rows,
     load_traces,
     rank_heads,
     save_traces,
@@ -89,7 +90,7 @@ def test_score_invariant_under_simultaneous_permutation(seed):
 def make_trace(rng, layers, heads, L, mask, example_id="t"):
     return AttentionTrace(
         example_id=example_id,
-        layers=[[random_stochastic(rng, L) for _ in range(heads)] for _ in range(layers)],
+        layers=np.array([[random_stochastic(rng, L) for _ in range(heads)] for _ in range(layers)]),
         entity_mask=mask,
     ).validate()
 
@@ -115,7 +116,9 @@ def test_rank_heads_forced_ordering():
     uniform = np.full((L, L), 1.0 / L)
     focused = np.zeros((L, L))
     focused[:, 0] = 1.0
-    tr = AttentionTrace(example_id="x", layers=[[uniform, focused]], entity_mask=mask).validate()
+    tr = AttentionTrace(
+        example_id="x", layers=np.array([[uniform, focused]]), entity_mask=mask
+    ).validate()
     ranked = rank_heads([tr])
     assert ranked[0][:2] == (0, 1)
 
@@ -162,9 +165,39 @@ def test_trace_validation_and_roundtrip(tmp_path):
 
     bad = np.full((3, 3), 0.4)
     with pytest.raises(ValidationError):
-        AttentionTrace(example_id="b", layers=[[bad]], entity_mask=mask).validate()
+        AttentionTrace(example_id="b", layers=np.array([[bad]]), entity_mask=mask).validate()
 
     path = tmp_path / "traces.jsonl"
     save_traces([tr], path)
     loaded = load_traces(path)
     assert len(loaded) == 1 and loaded[0].example_id == "rt"
+
+
+# head_report_rows of the seeded traces below, recorded from the per-head loop
+# that scored one (L, L) matrix at a time; more than 8 columns per group, so a
+# change in summation order shows in the last bits
+PINNED_HEAD_REPORT = [
+    (0, 2, "0x1.bfc234cdcfd78p-6", "-0x1.bd000100d499ep+0", 1),
+    (1, 2, "0x1.bfe286d5d9fc0p-7", "-0x1.df68e1755001cp+0", 2),
+    (0, 1, "0x1.6cf53b75cb1c0p-8", "-0x1.f2fa4e003a924p+0", 3),
+    (0, 0, "-0x1.9a990bb401b00p-8", "-0x1.06e167da66167p+1", 4),
+    (1, 1, "-0x1.5a3977dc11500p-7", "-0x1.0e719e77c117bp+1", 5),
+    (0, 3, "-0x1.19b7e30d6d010p-6", "-0x1.165c87070ce33p+1", 6),
+    (1, 3, "-0x1.e4d4d0e4bfa88p-6", "-0x1.25130c0f698dep+1", 7),
+    (1, 0, "-0x1.11d1d7e104618p-5", "-0x1.2a6a1398e8bf5p+1", 8),
+]
+
+
+def test_head_report_scores_are_pinned_bit_for_bit():
+    rng = np.random.default_rng(11)
+    L = 20
+    traces = []
+    for i in range(4):
+        mask = np.zeros(L, dtype=bool)
+        mask[rng.choice(L, size=int(rng.integers(8, 11)), replace=False)] = True
+        traces.append(make_trace(rng, 2, 4, L, mask, example_id=f"b{i}"))
+    got = [
+        (r["layer"], r["head"], r["score_colmean"].hex(), r["score_rawsum"].hex(), r["rank"])
+        for r in head_report_rows(traces)
+    ]
+    assert got == PINNED_HEAD_REPORT
