@@ -215,6 +215,7 @@ def cmd_train(args) -> int:
         _check_test_count(args.test_count, task.num_examples)
         examples, labels = generate_synthetic(task)
     data = prepare_task_data(examples, labels, n_test=args.test_count)
+    del examples, labels  # training reads only ``data``'s arrays and ids
     if args.emit_traces:
         check_entity_mask(data.entity_mask)
     out = _out_dir(args)
@@ -242,6 +243,7 @@ def cmd_eval_density(args) -> int:
     examples = load_context_examples(args.dataset)
     labels = _labels_for(examples, args.labels)
     data = model.prepare(examples, labels)
+    del examples, labels
     bins, accuracy = density_bins(model, data, np.arange(data.n), quantiles)
     out = _out_dir(args)
     doc = {"variant": model.cfg.variant, "accuracy": accuracy, "bins": bins}

@@ -10,6 +10,7 @@ quantile partitions of density populations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import Matrix
-from .serialize import read_jsonl, write_csv
+from .serialize import json_int, read_jsonl, write_csv
 
 
 def normalize_mention(mention: str) -> str:
@@ -26,7 +27,7 @@ def normalize_mention(mention: str) -> str:
     return " ".join(mention.split()).casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntitySpan:
     start: int
     end: int  # half-open
@@ -34,7 +35,7 @@ class EntitySpan:
     sentence_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextExample:
     """One annotated context: tokens, sentence spans, entity spans."""
 
@@ -92,26 +93,46 @@ class ContextExample:
 
 
 def example_from_json_dict(d: dict) -> ContextExample:
+    """Span bounds and sentence indices must be JSON integers and tokens a
+    list of strings; other types raise ValueError naming the key. Tokens and
+    mentions are interned, so a corpus keeps one copy of each text."""
+    tokens = d["tokens"]
+    if type(tokens) is not list or not all(type(t) is str for t in tokens):
+        raise ValueError("tokens must be a list of strings")
+    sentence_spans = [
+        (json_int(s, f"sentence_spans[{k}][0]"), json_int(e, f"sentence_spans[{k}][1]"))
+        for k, (s, e) in enumerate(d["sentence_spans"])
+    ]
     spans = [
         EntitySpan(
-            start=int(sp["start"]),
-            end=int(sp["end"]),
-            mention=str(sp["mention"]),
-            sentence_index=int(sp["sentence_index"]),
+            start=json_int(sp["start"], f"entity_spans[{k}].start"),
+            end=json_int(sp["end"], f"entity_spans[{k}].end"),
+            mention=sys.intern(str(sp["mention"])),
+            sentence_index=json_int(sp["sentence_index"], f"entity_spans[{k}].sentence_index"),
         )
-        for sp in d["entity_spans"]
+        for k, sp in enumerate(d["entity_spans"])
     ]
     return ContextExample(
         id=str(d["id"]),
-        tokens=[str(t) for t in d["tokens"]],
-        sentence_spans=[(int(s), int(e)) for s, e in d["sentence_spans"]],
+        tokens=[sys.intern(t) for t in tokens],
+        sentence_spans=sentence_spans,
         entity_spans=spans,
     ).validate()
 
 
 def load_context_examples(path: str | Path) -> list[ContextExample]:
-    """Read one ContextExample per JSONL line; errors name the line."""
-    return read_jsonl(path, example_from_json_dict)
+    """Read one ContextExample per JSONL line; an error, a repeated id
+    included, names its line."""
+    seen: set[str] = set()
+
+    def parse(d: dict) -> ContextExample:
+        ex = example_from_json_dict(d)
+        if ex.id in seen:
+            raise ValueError(f"example id {ex.id!r} appears on an earlier line")
+        seen.add(ex.id)
+        return ex
+
+    return read_jsonl(path, parse)
 
 
 @dataclass(frozen=True)

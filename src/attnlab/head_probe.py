@@ -133,7 +133,21 @@ def save_traces(traces: Iterable[AttentionTrace], path: str | Path) -> None:
 
 
 def load_traces(path: str | Path) -> list[AttentionTrace]:
-    return read_jsonl(path, trace_from_json_dict)
+    """The file's traces; one whose (layers, heads) differ from the first
+    trace's raises, and the error names its line."""
+    geometry = None
+
+    def parse(d: dict) -> AttentionTrace:
+        nonlocal geometry
+        trace = trace_from_json_dict(d)
+        geometry = geometry or trace.layers.shape[:2]
+        if trace.layers.shape[:2] != geometry:
+            raise ShapeError(
+                f"(layers, heads) = {trace.layers.shape[:2]}, but the first trace has {geometry}"
+            )
+        return trace
+
+    return read_jsonl(path, parse)
 
 
 def head_report_rows(traces: Sequence[AttentionTrace]) -> list[dict]:

@@ -3,7 +3,8 @@
 - JSON: indent 1, sorted keys (``write_json``). A checkpoint is one such
   document: ``meta`` plus ``arrays``, a flat object mapping parameter
   names to shape plus base64-encoded little-endian float64 payloads.
-- JSONL: one JSON object per line (``write_jsonl``, ``read_jsonl``).
+- JSONL: one JSON object per line (``write_jsonl``, ``read_jsonl``);
+  ``json_int`` refuses a field that is not a JSON integer.
 - CSV: one header row, then the data rows (``write_csv``).
 
 Every text file ends each line, and the file itself, in ``\\n``.
@@ -51,6 +52,14 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
     if not out:
         raise ValidationError(f"{path}: no records")
     return out
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if JSON decoded it from an integer; a bool, float or any
+    other type raises ValueError naming ``name``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:

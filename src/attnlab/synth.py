@@ -34,7 +34,7 @@ from pathlib import Path
 from .entity_graph import ContextExample, EntitySpan
 from .errors import GenerationError
 from .numerics import SeededRng
-from .serialize import read_jsonl, write_jsonl
+from .serialize import json_int, read_jsonl, write_jsonl
 
 SPAN_TOKENS = 2  # every mention is two tokens ("given" + "family" part)
 FILLERS_PER_SENTENCE = 2
@@ -99,7 +99,9 @@ def _filler(rng: SeededRng) -> str:
     return FILLER_TOKENS[int(rng.integers(0, len(FILLER_TOKENS)))]
 
 
-def _generate_one(cfg: SyntheticTaskConfig, rng: SeededRng, index: int) -> tuple[ContextExample, int]:
+def _generate_one(
+    cfg: SyntheticTaskConfig, rng: SeededRng, index: int, texts: list[tuple[str, str, str]]
+) -> tuple[ContextExample, int]:
     s_total = cfg.sentences_per_context
     e_per = cfg.entities_per_sentence
 
@@ -155,12 +157,10 @@ def _generate_one(cfg: SyntheticTaskConfig, rng: SeededRng, index: int) -> tuple
         for pos in range(entity_budget):
             if pos < len(occupants):
                 text_id = occupants[pos]
-                first, second = entity_text_tokens(text_id)
+                first, second, mention = texts[text_id]
                 if s == bridge_sentence and text_id == answer_text:
                     answer_slot = len(entity_spans)
-                entity_spans.append(
-                    (len(tokens), len(tokens) + SPAN_TOKENS, f"{first} {second}", s)
-                )
+                entity_spans.append((len(tokens), len(tokens) + SPAN_TOKENS, mention, s))
                 tokens.extend([first, second])
             else:
                 tokens.extend(_filler(rng) for _ in range(SPAN_TOKENS))
@@ -196,13 +196,21 @@ def _generate_one(cfg: SyntheticTaskConfig, rng: SeededRng, index: int) -> tuple
 
 
 def generate_synthetic(cfg: SyntheticTaskConfig) -> tuple[list[ContextExample], list[int]]:
-    """Generate the full dataset; identical configs give identical bytes."""
+    """Generate the full dataset; identical configs give identical bytes.
+
+    Every example shares one pair of token strings and one mention string
+    per pool index, so a dataset holds each entity text once.
+    """
     cfg.validate()
     rng = SeededRng(cfg.seed)
+    texts = [
+        (first, second, f"{first} {second}")
+        for first, second in map(entity_text_tokens, range(cfg.num_entities_pool))
+    ]
     examples = []
     labels = []
     for i in range(cfg.num_examples):
-        ex, answer = _generate_one(cfg, rng, i)
+        ex, answer = _generate_one(cfg, rng, i, texts)
         examples.append(ex)
         labels.append(answer)
     return examples, labels
@@ -232,7 +240,7 @@ def load_labels_jsonl(path: str | Path) -> dict[str, int]:
     def parse(row: dict) -> None:
         if str(row["id"]) in labels:
             raise ValueError(f"id {row['id']!r} is labelled twice")
-        labels[str(row["id"])] = int(row["answer_node"])
+        labels[str(row["id"])] = json_int(row["answer_node"], "answer_node")
 
     read_jsonl(path, parse)
     return labels

@@ -19,8 +19,8 @@ from attnlab.cli import main
 from attnlab.errors import ValidationError
 
 L = 6
-TRAIN = ["train", "--set", "hidden_dim=8", "--set", "epochs=1", "--set", "num_examples=40",
-         "--test-count", "10"]
+TRAIN_ON = ["train", "--set", "hidden_dim=8", "--set", "epochs=1", "--test-count", "10"]
+TRAIN = [*TRAIN_ON, "--set", "num_examples=40"]
 
 
 def _traces(tmp_path, mutate) -> str:
@@ -46,6 +46,69 @@ def _set_entry(doc, value):
 
 def _negative_row(doc):
     doc["layers"][0][1][0][:2] = [-0.25, 1.25 - (L - 2) / L]
+
+
+def _mixed_heads(tmp_path) -> list[str]:
+    """Two valid traces, the second with three heads where the first has two."""
+    path = _traces(tmp_path, lambda d: None)
+    doc = json.loads((tmp_path / "traces.jsonl").read_text())
+    doc["layers"] = np.full((1, 3, L, L), 1.0 / L).tolist()
+    with open(path, "a") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    return ["probe-heads", "--traces", path]
+
+
+def _jsonl(path, rows) -> str:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return str(path)
+
+
+def _on_dataset(command, mutate):
+    """argv running ``command`` on TRAIN's 40 synthetic examples, written by
+    gen-synthetic and then mutated as ``mutate(examples, labels)``; eval-density
+    reads a model that TRAIN made first."""
+
+    def argv(tmp_path) -> list[str]:
+        gen = tmp_path / "gen"
+        assert main(["gen-synthetic", "--set", "num_examples=40", "--out", str(gen)]) == 0
+        rows, labels = (
+            [json.loads(line) for line in (gen / f"{kind}_seed11.jsonl").read_text().splitlines()]
+            for kind in ("dataset", "labels")
+        )
+        mutate(rows, labels)
+        data = _jsonl(tmp_path / "data.jsonl", rows)
+        labs = _jsonl(tmp_path / "labels.jsonl", labels)
+        if command == "eval-density":
+            assert main([*TRAIN, "--out", str(tmp_path / "model")]) == 0
+            model = tmp_path / "model" / "model_graph_attention_seed7.json"
+            return [command, "--model", str(model), "--dataset", data, "--labels", labs]
+        if command == "train":
+            return [*TRAIN_ON, "--dataset", data, "--labels", labs]
+        return [command, "--input", data]
+
+    return argv
+
+
+def _repeat_first(rows, labels):
+    rows.append(rows[0])
+
+
+def _set_span(key, value):
+    def mutate(rows, labels):
+        rows[0]["entity_spans"][0][key] = value
+
+    return mutate
+
+
+def _set_answer(value):
+    def mutate(rows, labels):
+        labels[0]["answer_node"] = value
+
+    return mutate
+
+
+def _tokens_as_string(rows, labels):
+    rows[0]["tokens"] = " ".join(rows[0]["tokens"])
 
 
 def _all_entity_dataset(tmp_path) -> list[str]:
@@ -104,6 +167,29 @@ CASES = {
         lambda tmp: ["probe-heads", "--traces",
                      _traces(tmp, lambda d: _set(d, "entity_mask", [False] * L))],
         2, "traces.jsonl:1: entity_mask"),
+    "probe-heads traces with 2 and 3 heads": (
+        _mixed_heads, 2, "traces.jsonl:2: (layers, heads) = (1, 3)"),
+    **{
+        f"{command} repeated example id": (
+            _on_dataset(command, _repeat_first), 2,
+            "data.jsonl:41: example id 's11-ex00000' appears on an earlier line")
+        for command in ("build-graph", "density-report", "train", "eval-density")
+    },
+    "build-graph float span end": (
+        _on_dataset("build-graph", _set_span("end", 2.7)), 2,
+        "data.jsonl:1: entity_spans[0].end must be an integer, got 2.7"),
+    "build-graph bool span start": (
+        _on_dataset("build-graph", _set_span("start", False)), 2,
+        "data.jsonl:1: entity_spans[0].start must be an integer, got false"),
+    "build-graph tokens as one string": (
+        _on_dataset("build-graph", _tokens_as_string), 2,
+        "data.jsonl:1: tokens must be a list of strings"),
+    "train float answer_node": (
+        _on_dataset("train", _set_answer(2.6)), 2,
+        "labels.jsonl:1: answer_node must be an integer, got 2.6"),
+    "train bool answer_node": (
+        _on_dataset("train", _set_answer(True)), 2,
+        "labels.jsonl:1: answer_node must be an integer, got true"),
 }
 
 

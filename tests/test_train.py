@@ -1,7 +1,9 @@
 import json
 import platform
 import resource
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from attnlab.train import (
 )
 
 
-def small_data(n=120, n_test=40, seed=5, pool=10):
+def small_examples(n=120, seed=5, pool=10):
     cfg = SyntheticTaskConfig(
         num_examples=n,
         seed=seed,
@@ -36,7 +38,11 @@ def small_data(n=120, n_test=40, seed=5, pool=10):
         sentences_per_context=4,
         distractor_count=4,
     )
-    examples, labels = generate_synthetic(cfg)
+    return generate_synthetic(cfg)
+
+
+def small_data(n=120, n_test=40, seed=5, pool=10):
+    examples, labels = small_examples(n, seed, pool)
     return prepare_task_data(examples, labels, n_test=n_test)
 
 
@@ -86,7 +92,8 @@ def test_batched_forward_matches_per_example_modules():
     from attnlab.fusion import fusion_block_forward, pool_batch_forward
     from attnlab.train import _layers
 
-    data = small_data(n=10, n_test=2)
+    examples, labels = small_examples(n=10)
+    data = prepare_task_data(examples, labels, n_test=2)
     cfg = small_cfg("graph_attention", hidden_dim=8)
     params = init_model_params(cfg, data, SeededRng(2))
     idx = np.arange(4)
@@ -96,7 +103,7 @@ def test_batched_forward_matches_per_example_modules():
     asg = data.assignment
     for row, i in enumerate(idx):
         x0 = params["embed"][data.token_ids[i]] + params["pos"]
-        graph = build_graph(data.examples[i])
+        graph = build_graph(examples[i])
         out, _, _ = fusion_block_forward(x0, graph.adjacency, asg, plist)
         nodes, _ = pool_batch_forward(out[None], asg)
         np.testing.assert_allclose(nodes[0] @ params["scorer"], scores[row], atol=1e-10)
@@ -282,6 +289,43 @@ def test_repeated_predict_reuses_freed_pages():
     assert faults < 1000
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_steps_cache_is_dead_before_the_next_forward(monkeypatch, variant):
+    import attnlab.train as train_module
+
+    forward = train_module.model_forward
+    last = []  # a weak reference to one array of the latest call's cache
+    alive = []  # per call after the first: was the previous cache still alive
+
+    def watched(*args):
+        alive.extend(ref() is not None for ref in last)
+        scores, cache = forward(*args)
+        last[:] = [weakref.ref(cache[-1])]
+        return scores, cache
+
+    monkeypatch.setattr(train_module, "model_forward", watched)
+    train(small_cfg(variant, epochs=1, batch_size=8), small_data(n=40, n_test=8))
+    assert len(alive) >= 4 and not any(alive)
+
+
+def test_prepared_data_retains_only_its_arrays_and_ids():
+    prepare_task_data(*small_examples(n=10), n_test=1)  # first-call set-up is not retained data
+    tracemalloc.start()
+    try:
+        examples, labels = small_examples(n=1000)
+        data = prepare_task_data(examples, labels, n_test=100)
+        ids = sum(sys.getsizeof(ex.id) + 8 for ex in examples)  # each string and its list slot
+        del examples, labels
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (data.labels, data.token_ids, data.adjacency, data.densities))
+    # 10% over the arrays and ids, plus 256 KiB for the interpreter's free
+    # lists (2000 two-tuples alone hold 110 KiB), object headers, the
+    # vocabulary and the span assignment; the example objects would add 3 MB
+    assert retained <= 1.1 * (arrays + ids) + 256 * 2**10, (retained, arrays, ids)
+
+
 def test_evaluate_by_density_on_fresh_examples():
     data = small_data(n=100, n_test=30)
     cfg = small_cfg("none", epochs=1)
@@ -323,6 +367,12 @@ def test_ragged_layouts_rejected():
     ex_b, lab_b = generate_synthetic(cfg_b)
     with pytest.raises(ValidationError):
         prepare_task_data(ex_a + ex_b, list(lab_a) + list(lab_b), n_test=2)
+
+
+def test_repeated_ids_rejected():
+    examples, labels = small_examples(n=4)
+    with pytest.raises(ValidationError, match="unique"):
+        prepare_task_data(examples + examples[:1], labels + labels[:1], n_test=1)
 
 
 def test_adam_matches_reference_update():
