@@ -5,9 +5,13 @@ change left every bit of fixed-seed training and checking as it was.
 
     python scripts/bit_witness.py > witness.txt
 
-One JSON line per model (graph_attention, graph_attention with
-``force_fully_connected``, self_attention, transformer and none; width
-48, 2 epochs, 400 synthetic examples of which 100 are held out) holds the
+A first line names the host's CPU count and ``OPENBLAS_NUM_THREADS``:
+BLAS splits a large enough GEMM across threads, which changes its sums'
+order, so only outputs made with the same thread count compare bit for
+bit. Then one JSON line per model (graph_attention, graph_attention with
+``force_fully_connected``, self_attention, transformer and none at width
+48, and graph_attention at the default width 300; 2 epochs, 400 synthetic
+examples of which 100 are held out) holds the
 loss curve as ``float.hex``, the sha256 of the parameters in sorted-name
 order, the sha256 of the held-out scores and the sha256 of the bytes of
 the saved checkpoint. The transformer line also holds the sha256 of the
@@ -33,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -50,12 +55,15 @@ from attnlab.train import (  # noqa: E402
     transformer_traces,
 )
 
+# (variant, force_fully_connected, hidden_dim): the width-48 GEMMs stay below
+# the sizes where OpenBLAS splits one across threads; width 300 does not
 MODELS = (
-    ("graph_attention", False),
-    ("graph_attention", True),
-    ("self_attention", False),
-    ("transformer", False),
-    ("none", False),
+    ("graph_attention", False, 48),
+    ("graph_attention", True, 48),
+    ("self_attention", False, 48),
+    ("transformer", False, 48),
+    ("none", False, 48),
+    ("graph_attention", False, 300),
 )
 TRACE_EXAMPLES = 8
 GRADCHECK_KEYS = ("graph_attention", "graph2doc", "fusion_block", "transformer")
@@ -96,12 +104,14 @@ def _cli_artifacts(out: Path) -> dict[str, str]:
 
 
 def main() -> None:
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    print(json.dumps({"host": {"cpu_count": os.cpu_count(), "OPENBLAS_NUM_THREADS": threads}}))
     examples, labels = generate_synthetic(SyntheticTaskConfig(num_examples=400))
     data = prepare_task_data(examples, labels, n_test=100)
     with tempfile.TemporaryDirectory() as tmp:
-        for variant, fully_connected in MODELS:
+        for variant, fully_connected, width in MODELS:
             cfg = ExperimentConfig(
-                variant=variant, hidden_dim=48, epochs=2, force_fully_connected=fully_connected
+                variant=variant, hidden_dim=width, epochs=2, force_fully_connected=fully_connected
             )
             model, report = train(cfg, data)
             ckpt = Path(tmp) / "model.json"
@@ -109,6 +119,7 @@ def main() -> None:
             line = {
                 "variant": variant,
                 "force_fully_connected": fully_connected,
+                "hidden_dim": width,
                 "loss_curve": [float(x).hex() for x in report.loss_curve],
                 "params_sha256": _sha256(model.params[k] for k in sorted(model.params)),
                 "heldout_scores_sha256": _sha256([model.predict_scores(data, data.test_idx)]),

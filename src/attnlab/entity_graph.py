@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import Matrix
-from .serialize import json_int, read_jsonl, write_csv
+from .serialize import json_int, json_str, read_jsonl, write_csv
 
 
 def normalize_mention(mention: str) -> str:
@@ -93,9 +93,10 @@ class ContextExample:
 
 
 def example_from_json_dict(d: dict) -> ContextExample:
-    """Span bounds and sentence indices must be JSON integers and tokens a
-    list of strings; other types raise ValueError naming the key. Tokens and
-    mentions are interned, so a corpus keeps one copy of each text."""
+    """Span bounds and sentence indices must be JSON integers, the id and
+    mentions strings, and tokens a list of strings; other types raise
+    ValueError naming the key. Tokens and mentions are interned, so a corpus
+    keeps one copy of each text."""
     tokens = d["tokens"]
     if type(tokens) is not list or not all(type(t) is str for t in tokens):
         raise ValueError("tokens must be a list of strings")
@@ -107,13 +108,13 @@ def example_from_json_dict(d: dict) -> ContextExample:
         EntitySpan(
             start=json_int(sp["start"], f"entity_spans[{k}].start"),
             end=json_int(sp["end"], f"entity_spans[{k}].end"),
-            mention=sys.intern(str(sp["mention"])),
+            mention=sys.intern(json_str(sp["mention"], f"entity_spans[{k}].mention")),
             sentence_index=json_int(sp["sentence_index"], f"entity_spans[{k}].sentence_index"),
         )
         for k, sp in enumerate(d["entity_spans"])
     ]
     return ContextExample(
-        id=str(d["id"]),
+        id=json_str(d["id"], "id"),
         tokens=[sys.intern(t) for t in tokens],
         sentence_spans=sentence_spans,
         entity_spans=spans,

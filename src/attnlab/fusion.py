@@ -35,6 +35,7 @@ batched calls require the span layout to be shared across the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +78,20 @@ class SpanAssignment:
     @property
     def num_entities(self) -> int:
         return len(self.spans)
+
+    @cached_property
+    def covered(self) -> tuple[np.ndarray, "SpanAssignment"]:
+        """The token positions some span covers, ascending, and this
+        assignment re-indexed to those positions.
+
+        Spans keep their order and any overlap, and the re-indexed
+        ``averaging`` equals this one's covered rows.
+        """
+        rows = np.flatnonzero(self.averaging.any(axis=1))
+        spans = [
+            (np.searchsorted(rows, s), np.searchsorted(rows, e - 1) + 1) for s, e in self.spans
+        ]
+        return rows, SpanAssignment(spans, rows.size)
 
     @classmethod
     def from_example(cls, example: ContextExample) -> "SpanAssignment":

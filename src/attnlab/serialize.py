@@ -4,7 +4,8 @@
   document: ``meta`` plus ``arrays``, a flat object mapping parameter
   names to shape plus base64-encoded little-endian float64 payloads.
 - JSONL: one JSON object per line (``write_jsonl``, ``read_jsonl``);
-  ``json_int`` refuses a field that is not a JSON integer.
+  ``json_int`` and ``json_str`` refuse a field that is not a JSON integer
+  or string.
 - CSV: one header row, then the data rows (``write_csv``).
 
 Every text file ends each line, and the file itself, in ``\\n``.
@@ -59,6 +60,14 @@ def json_int(value, name: str) -> int:
     other type raises ValueError naming ``name``."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def json_str(value, name: str) -> str:
+    """``value`` if JSON decoded it from a string; any other type raises
+    ValueError naming ``name``."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {json.dumps(value)}")
     return value
 
 

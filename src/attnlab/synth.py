@@ -34,7 +34,7 @@ from pathlib import Path
 from .entity_graph import ContextExample, EntitySpan
 from .errors import GenerationError
 from .numerics import SeededRng
-from .serialize import json_int, read_jsonl, write_jsonl
+from .serialize import json_int, json_str, read_jsonl, write_jsonl
 
 SPAN_TOKENS = 2  # every mention is two tokens ("given" + "family" part)
 FILLERS_PER_SENTENCE = 2
@@ -238,9 +238,10 @@ def load_labels_jsonl(path: str | Path) -> dict[str, int]:
     labels: dict[str, int] = {}
 
     def parse(row: dict) -> None:
-        if str(row["id"]) in labels:
-            raise ValueError(f"id {row['id']!r} is labelled twice")
-        labels[str(row["id"])] = json_int(row["answer_node"], "answer_node")
+        key = json_str(row["id"], "id")
+        if key in labels:
+            raise ValueError(f"id {key!r} is labelled twice")
+        labels[key] = json_int(row["answer_node"], "answer_node")
 
     read_jsonl(path, parse)
     return labels

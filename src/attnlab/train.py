@@ -20,6 +20,16 @@ mean-max pooled into node states, which the scorer reads. The batched
 math is the layer modules' own forward/backward, so the layer contracts
 and the training stack cannot drift apart.
 
+The scorer reads only node states, and the pooling reads only the token
+rows some entity span covers. In the hop loop the token mixer computes
+each row from that row and the node states alone, so an uncovered row
+(a filler token) never reaches a pooled node or the scorer. The
+graph_attention, self_attention and none variants therefore compute only
+the covered rows (18 of the 28 tokens at the default task), with the span
+assignment re-indexed to them; their ``pos`` gradient is exactly zero at
+the uncovered positions. The transformer computes every row, because each
+token attends to every other.
+
 All parameters live in one flat dict of arrays, the same one that Adam
 updates and a checkpoint stores: ``embed``, ``pos`` and ``scorer``, plus
 each reasoning layer's arrays as ``fusion.<hop>.<name>`` (``proj``,
@@ -162,7 +172,9 @@ class TaskData:
     @property
     def entity_mask(self) -> np.ndarray:
         """(L,) bool: the tokens inside some entity span."""
-        return self.assignment.averaging.any(axis=1)
+        mask = np.zeros(self.assignment.num_tokens, dtype=bool)
+        mask[self.assignment.covered[0]] = True
+        return mask
 
 
 def prepare_task_data(
@@ -279,9 +291,20 @@ def _layers(params: dict, prefix: str, count: int) -> list[dict]:
 
 
 def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.ndarray):
-    """Scores (B, N) over answer nodes plus the cache for backward."""
-    tok = data.token_ids[idx]
-    x = params["embed"][tok] + params["pos"][None, :, :]
+    """Scores (B, N) over answer nodes plus the cache for backward.
+
+    The transformer computes all L token rows. The other variants compute
+    only the rows some entity span covers, over the assignment re-indexed
+    to them (``SpanAssignment.covered``): no other row reaches the pooled
+    nodes, so the scores are those of the full sequence up to the order
+    of floating-point sums.
+    """
+    if cfg.variant == "transformer":
+        rows, assignment = slice(None), data.assignment
+    else:
+        rows, assignment = data.assignment.covered
+    tok = data.token_ids[idx][:, rows]
+    x = params["embed"][tok] + params["pos"][rows]
     body_cache = None
     if cfg.variant == "transformer":
         layers = _layers(params, "tf", cfg.hops)
@@ -289,11 +312,11 @@ def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.n
     elif cfg.variant != "none":
         unmasked = cfg.variant == "self_attention" or cfg.force_fully_connected
         x, _, body_cache = fusion_batch_forward(
-            x, None if unmasked else data.adjacency[idx], data.assignment,
+            x, None if unmasked else data.adjacency[idx], assignment,
             _layers(params, "fusion", cfg.hops), cfg.leaky_slope,
         )
-    nodes, pool_c = pool_batch_forward(x, data.assignment)
-    return nodes @ params["scorer"], (tok, body_cache, pool_c, nodes)
+    nodes, pool_c = pool_batch_forward(x, assignment)
+    return nodes @ params["scorer"], (tok, rows, body_cache, pool_c, nodes)
 
 
 def _scorer_grad(d_scores: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -308,7 +331,7 @@ def _embedding_grad(vocab_size: int, tok: np.ndarray, dx0: np.ndarray) -> np.nda
 
 
 def model_backward(cfg: ExperimentConfig, params: dict, cache, d_scores: np.ndarray) -> dict:
-    tok, body_cache, pool_c, nodes = cache
+    tok, rows, body_cache, pool_c, nodes = cache
     grads = {"scorer": _scorer_grad(d_scores, nodes)}
     dx = pool_batch_backward(pool_c, d_scores[:, :, None] * params["scorer"])
     if body_cache is not None:
@@ -319,7 +342,8 @@ def model_backward(cfg: ExperimentConfig, params: dict, cache, d_scores: np.ndar
             dx, layer_grads = fusion_batch_backward(body_cache, dx)
             grads.update(_prefixed("fusion", layer_grads))
     grads["embed"] = _embedding_grad(params["embed"].shape[0], tok, dx)
-    grads["pos"] = dx.sum(axis=0)
+    grads["pos"] = np.zeros_like(params["pos"])
+    grads["pos"][rows] = dx.sum(axis=0)
     return grads
 
 
@@ -411,8 +435,9 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        """Rebuild a saved model; a checkpoint that does not fit raises
-        ``ValidationError`` naming the file and the first mismatch."""
+        """Rebuild a saved model; a checkpoint that does not fit, or whose
+        arrays hold NaN or inf, raises ``ValidationError`` naming the file
+        and the first mismatch."""
         try:
             arrays, meta = load_manifest(path)
             cfg = _checkpoint_config(meta)
@@ -438,6 +463,8 @@ class TrainedModel:
                     f"{path}: array {name!r} has shape {arrays[name].shape}, "
                     f"{cfg.variant} expects {expected[name]}"
                 )
+            if not np.isfinite(arrays[name]).all():
+                raise ValidationError(f"{path}: array {name!r} holds NaN or inf")
         return model
 
 
@@ -549,7 +576,15 @@ def train(
     data: TaskData,
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
 ) -> tuple[TrainedModel, MetricsReport]:
-    """Deterministic Adam training; returns the model and its metrics."""
+    """Deterministic Adam training; returns the model and its metrics.
+
+    Results repeat bit for bit for a fixed BLAS thread count. OpenBLAS
+    splits a large enough GEMM across its threads, which changes the order
+    of its sums: on a 2-core host, ``scripts/bit_witness.py``'s width-300
+    graph_attention model (2 epochs on 300 examples) ends with other
+    parameter bits under ``OPENBLAS_NUM_THREADS=1`` than under the 2-thread
+    default, with an equal loss curve, while its width-48 models match.
+    """
     cfg.validate()
     if data.n_test < 1:
         raise ValidationError("training needs a held-out slice")

@@ -17,6 +17,7 @@ import pytest
 from attnlab.checks import degeneracy_suite, run_gradcheck_suite
 from attnlab.cli import main
 from attnlab.errors import ValidationError
+from attnlab.serialize import decode_array, encode_array
 
 L = 6
 TRAIN_ON = ["train", "--set", "hidden_dim=8", "--set", "epochs=1", "--test-count", "10"]
@@ -100,15 +101,44 @@ def _set_span(key, value):
     return mutate
 
 
-def _set_answer(value):
+def _set_label(key, value):
     def mutate(rows, labels):
-        labels[0]["answer_node"] = value
+        labels[0][key] = value
 
     return mutate
 
 
 def _tokens_as_string(rows, labels):
     rows[0]["tokens"] = " ".join(rows[0]["tokens"])
+
+
+def _set_id(value):
+    def mutate(rows, labels):
+        rows[0]["id"] = value
+
+    return mutate
+
+
+def _checkpoint_with(variant, name, value):
+    """argv of eval-density on 40 generated examples with a ``variant`` model
+    that TRAIN made, its array ``name`` holding ``value`` as first entry."""
+
+    def argv(tmp_path) -> list[str]:
+        gen, model = tmp_path / "gen", tmp_path / "model"
+        assert main(["gen-synthetic", "--set", "num_examples=40", "--out", str(gen)]) == 0
+        assert main([*TRAIN, "--set", f"variant={variant}", "--set", "num_heads=2",
+                     "--out", str(model)]) == 0
+        path = model / f"model_{variant}_seed7.json"
+        doc = json.loads(path.read_text())
+        array = decode_array(doc["arrays"][name])
+        array.flat[0] = value
+        doc["arrays"][name] = encode_array(array)
+        path.write_text(json.dumps(doc))
+        return ["eval-density", "--model", str(path),
+                "--dataset", str(gen / "dataset_seed11.jsonl"),
+                "--labels", str(gen / "labels_seed11.jsonl")]
+
+    return argv
 
 
 def _all_entity_dataset(tmp_path) -> list[str]:
@@ -185,11 +215,26 @@ CASES = {
         _on_dataset("build-graph", _tokens_as_string), 2,
         "data.jsonl:1: tokens must be a list of strings"),
     "train float answer_node": (
-        _on_dataset("train", _set_answer(2.6)), 2,
+        _on_dataset("train", _set_label("answer_node", 2.6)), 2,
         "labels.jsonl:1: answer_node must be an integer, got 2.6"),
     "train bool answer_node": (
-        _on_dataset("train", _set_answer(True)), 2,
+        _on_dataset("train", _set_label("answer_node", True)), 2,
         "labels.jsonl:1: answer_node must be an integer, got true"),
+    "build-graph null id": (
+        _on_dataset("build-graph", _set_id(None)), 2,
+        "data.jsonl:1: id must be a string, got null"),
+    "build-graph int mention": (
+        _on_dataset("build-graph", _set_span("mention", 7)), 2,
+        "data.jsonl:1: entity_spans[0].mention must be a string, got 7"),
+    "train int label id": (
+        _on_dataset("train", _set_label("id", 5)), 2,
+        "labels.jsonl:1: id must be a string, got 5"),
+    "eval-density NaN in a transformer checkpoint": (
+        _checkpoint_with("transformer", "tf.1.wq", math.nan), 2,
+        "model_transformer_seed7.json: array 'tf.1.wq' holds NaN or inf"),
+    "eval-density inf in a graph_attention checkpoint": (
+        _checkpoint_with("graph_attention", "scorer", math.inf), 2,
+        "model_graph_attention_seed7.json: array 'scorer' holds NaN or inf"),
 }
 
 

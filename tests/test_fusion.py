@@ -60,6 +60,19 @@ def test_meanmax_invariant_to_in_span_permutation():
     np.testing.assert_allclose(nodes2, nodes, atol=1e-12)
 
 
+def test_covered_rows_reindex_gapped_and_overlapping_spans():
+    asg = SpanAssignment([(0, 2), (1, 3), (5, 6)], 8)
+    rows, compact = asg.covered
+    assert rows.tolist() == [0, 1, 2, 5]
+    assert compact.spans == [(0, 2), (1, 3), (3, 4)]
+    assert compact.num_tokens == 4
+    assert np.array_equal(compact.averaging, asg.averaging[rows])
+    C = SeededRng(3).normal((2, 8, 3))
+    np.testing.assert_array_equal(
+        pool_batch_forward(C[:, rows], compact)[0], pool_batch_forward(C, asg)[0]
+    )
+
+
 def test_empty_span_rejected():
     with pytest.raises(ValidationError):
         SpanAssignment([(2, 2)], 4)

@@ -87,14 +87,18 @@ def test_variant_gradients_match_finite_differences(variant):
     assert relative_error(analytic, fd) <= 1e-4
 
 
-def test_batched_forward_matches_per_example_modules():
+HOP_LOOP_VARIANTS = ["graph_attention", "self_attention", "none"]
+
+
+@pytest.mark.parametrize("variant", HOP_LOOP_VARIANTS)
+def test_batched_forward_matches_per_example_modules(variant):
     from attnlab.entity_graph import build_graph
     from attnlab.fusion import fusion_block_forward, pool_batch_forward
     from attnlab.train import _layers
 
     examples, labels = small_examples(n=10)
     data = prepare_task_data(examples, labels, n_test=2)
-    cfg = small_cfg("graph_attention", hidden_dim=8)
+    cfg = small_cfg(variant, hidden_dim=8)
     params = init_model_params(cfg, data, SeededRng(2))
     idx = np.arange(4)
     scores, cache = model_forward(cfg, params, data, idx)
@@ -102,11 +106,33 @@ def test_batched_forward_matches_per_example_modules():
     plist = _layers(params, "fusion", cfg.hops)
     asg = data.assignment
     for row, i in enumerate(idx):
-        x0 = params["embed"][data.token_ids[i]] + params["pos"]
-        graph = build_graph(examples[i])
-        out, _, _ = fusion_block_forward(x0, graph.adjacency, asg, plist)
-        nodes, _ = pool_batch_forward(out[None], asg)
+        # every token row, as the full-width hop loop computes them
+        x = params["embed"][data.token_ids[i]] + params["pos"]
+        if variant != "none":
+            adjacency = build_graph(examples[i]).adjacency if variant == "graph_attention" else None
+            x, _, _ = fusion_block_forward(x, adjacency, asg, plist)
+        nodes, _ = pool_batch_forward(x[None], asg)
         np.testing.assert_allclose(nodes[0] @ params["scorer"], scores[row], atol=1e-10)
+
+
+@pytest.mark.parametrize("variant", HOP_LOOP_VARIANTS)
+def test_hop_loop_variants_compute_only_covered_rows(variant):
+    from attnlab.fusion import PoolCache
+
+    data = small_data(n=24, n_test=8)
+    covered = data.entity_mask
+    assert 0 < covered.sum() < covered.size
+    cfg = small_cfg(variant, hidden_dim=6)
+    params = init_model_params(cfg, data, SeededRng(1))
+    idx = np.arange(6)
+    scores, cache = model_forward(cfg, params, data, idx)
+    (pool_c,) = [c for c in cache if isinstance(c, PoolCache)]
+    assert pool_c.C.shape == (idx.size, covered.sum(), cfg.hidden_dim)
+    _, d_scores = softmax_cross_entropy(scores, data.labels[idx])
+    d_pos = model_backward(cfg, params, cache, d_scores)["pos"]
+    assert d_pos.shape == params["pos"].shape
+    assert (d_pos[~covered] == 0.0).all()
+    assert (d_pos[covered] != 0.0).any()
 
 
 def test_degeneracy_step_identity_between_variants():
