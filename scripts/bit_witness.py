@@ -26,7 +26,7 @@ the sha256 of every file a small ``attnlab`` CLI pipeline writes, sorted by
 name: gen-synthetic (80 examples), build-graph, density-report, train of
 graph_attention and of transformer with ``--emit-traces``, eval-density
 and probe-heads. The ``run_*.log`` files hold wall time and are left
-out. The script imports
+out; what the commands print is dropped. The script imports
 attnlab from the ``src`` directory next to it, so it measures the tree it
 lives in.
 """
@@ -93,7 +93,8 @@ def _cli_artifacts(out: Path) -> dict[str, str]:
         ["probe-heads", "--traces", str(out / "traces_transformer_seed5.jsonl")],
     )
     for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
+        log = io.StringIO()
+        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
             if cli_main([*argv, "--out", str(out)]) != 0:
                 raise SystemExit(f"attnlab {argv[0]} failed")
     return {

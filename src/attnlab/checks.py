@@ -43,6 +43,11 @@ from .reference import loop_graph_attention
 
 KINK_GUARD = 1e-4  # min distance of any ReLU/LeakyReLU preimage from 0
 MAX_RESAMPLE = 500
+FD_EPS = 1e-5  # central-difference step of every gradient check
+FUSION_HOPS = 2  # hops of the tied-weight hop loop the fusion check runs
+# size limits of the degeneracy suite's random instances
+DEGENERACY_MAX_NODES = 32
+DEGENERACY_MAX_DIM = 16
 
 
 def _random_adjacency(rng: SeededRng, n: int) -> np.ndarray:
@@ -81,13 +86,7 @@ def _deviation(*pairs) -> float:
     return max(float(np.abs(a - b).max(initial=0.0)) for a, b in pairs)
 
 
-def degeneracy_suite(
-    instances: int = 1000,
-    seed: int = 2024,
-    max_nodes: int = 32,
-    max_dim: int = 16,
-    loop_instances: int = 100,
-) -> dict:
+def degeneracy_suite(instances: int = 1000, seed: int = 2024, loop_instances: int = 100) -> dict:
     """Self-attention two ways: masked by an all-ones adjacency, and with
     ``adjacency=None``, which skips the mask. An all-ones mask keeps every
     score, so the two code paths must agree bit for bit.
@@ -103,9 +102,9 @@ def degeneracy_suite(
     max_pair = 0.0
     max_loop = 0.0
     for case in range(instances):
-        n = int(rng.integers(1, max_nodes + 1))
-        d_in = int(rng.integers(1, max_dim + 1))
-        d_out = int(rng.integers(1, max_dim + 1))
+        n = int(rng.integers(1, DEGENERACY_MAX_NODES + 1))
+        d_in = int(rng.integers(1, DEGENERACY_MAX_DIM + 1))
+        d_out = int(rng.integers(1, DEGENERACY_MAX_DIM + 1))
         H = rng.normal((n, d_in))
         params = init_graph_attention_params(rng.split(case), d_in, d_out)
         ones = np.ones((n, n))
@@ -130,14 +129,14 @@ def degeneracy_suite(
 # ---------------------------------------------------------------------------
 
 
-def _check_case(build: Callable[[SeededRng], tuple], rng: SeededRng, eps: float) -> float:
+def _check_case(build: Callable[[SeededRng], tuple], rng: SeededRng) -> float:
     """build(rng) -> (templates, loss_and_grad, loss_only) or None to resample."""
     for attempt in range(MAX_RESAMPLE):
         case = build(rng.split(attempt))
         if case is None:
             continue
         theta0, analytic, loss_fn = case
-        fd = finite_diff_grad(loss_fn, theta0, eps)
+        fd = finite_diff_grad(loss_fn, theta0, FD_EPS)
         return relative_error(analytic, fd)
     raise NumericError("could not sample an instance clear of activation kinks")
 
@@ -157,7 +156,7 @@ def _pool_tie_free(C: np.ndarray, spans) -> bool:
     return True
 
 
-def gradcheck_graph_attention(instances: int = 100, seed: int = 7, eps: float = 1e-5) -> float:
+def gradcheck_graph_attention(instances: int = 100, seed: int = 7) -> float:
     """Max relative error of the analytic gradients over random cases."""
     rng = SeededRng(seed)
     worst = 0.0
@@ -186,11 +185,11 @@ def gradcheck_graph_attention(instances: int = 100, seed: int = 7, eps: float = 
 
             return theta0, analytic, loss
 
-        worst = max(worst, _check_case(build, rng.split(case), eps))
+        worst = max(worst, _check_case(build, rng.split(case)))
     return worst
 
 
-def gradcheck_graph2doc(instances: int = 100, seed: int = 8, eps: float = 1e-5) -> float:
+def gradcheck_graph2doc(instances: int = 100, seed: int = 8) -> float:
     rng = SeededRng(seed)
     worst = 0.0
     for case in range(instances):
@@ -222,7 +221,7 @@ def gradcheck_graph2doc(instances: int = 100, seed: int = 8, eps: float = 1e-5) 
 
             return theta0, analytic, loss
 
-        worst = max(worst, _check_case(build, rng.split(case), eps))
+        worst = max(worst, _check_case(build, rng.split(case)))
     return worst
 
 
@@ -239,9 +238,7 @@ def _random_spans(rng: SeededRng, num_tokens: int) -> list[tuple[int, int]]:
     return spans
 
 
-def gradcheck_fusion(
-    instances: int = 100, seed: int = 9, eps: float = 1e-5, hops: int = 2
-) -> float:
+def gradcheck_fusion(instances: int = 100, seed: int = 9) -> float:
     """Full hop loop with one weight set tied across hops, so each weight's
     gradient is the sum of its per-hop gradients; 12 tokens, 3 entities."""
     rng = SeededRng(seed)
@@ -258,7 +255,7 @@ def gradcheck_fusion(
                 "mix": r.normal((d + w, d)),
             }
             weights = r.normal((l, d))
-            out, _, hop_caches = fusion_block_forward(C0, adj, asg, [params] * hops)
+            out, _, hop_caches = fusion_block_forward(C0, adj, asg, [params] * FUSION_HOPS)
             for pool_c, att_c, unpool_c in hop_caches:
                 if not _clear_of_kinks(att_c.pre[0], att_c.agg[0], unpool_c.pre[0]):
                     return None
@@ -275,16 +272,16 @@ def gradcheck_fusion(
             def loss(theta: np.ndarray) -> float:
                 c0, *arrays = _unpack(theta, layout)
                 p = dict(zip(names, arrays))
-                o, _, _ = fusion_block_forward(c0, adj, asg, [p] * hops)
+                o, _, _ = fusion_block_forward(c0, adj, asg, [p] * FUSION_HOPS)
                 return float((weights * o).sum())
 
             return theta0, analytic, loss
 
-        worst = max(worst, _check_case(build, rng.split(case), eps))
+        worst = max(worst, _check_case(build, rng.split(case)))
     return worst
 
 
-def gradcheck_transformer(instances: int = 100, seed: int = 10, eps: float = 1e-5) -> float:
+def gradcheck_transformer(instances: int = 100, seed: int = 10) -> float:
     rng = SeededRng(seed)
     worst = 0.0
     for case in range(instances):
@@ -315,7 +312,7 @@ def gradcheck_transformer(instances: int = 100, seed: int = 10, eps: float = 1e-
 
             return theta0, analytic, loss
 
-        worst = max(worst, _check_case(build, rng.split(case), eps))
+        worst = max(worst, _check_case(build, rng.split(case)))
     return worst
 
 

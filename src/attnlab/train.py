@@ -45,7 +45,7 @@ import functools
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,8 +75,9 @@ DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8, 1.0)
 # holds no more live memory than one training step. A constant rather than
 # ``cfg.batch_size`` keeps in-memory and reloaded models bit-identical.
 PREDICT_CHUNK = 24
-# Checkpoints without a "format" key predate the full config in the meta.
 CHECKPOINT_FORMAT = 2
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # glibc ``mallopt`` parameters (malloc.h) and the values ``_reuse_freed_pages`` sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 KEEP_FREE_BYTES = 256 * 2**20
@@ -364,27 +365,24 @@ def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray):
 class Adam:
     """Per-parameter adaptive steps with bias correction."""
 
-    def __init__(self, params: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            self.params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            self.params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +395,7 @@ class TrainedModel:
     cfg: ExperimentConfig
     params: dict
     vocab: list[str]
-    spans: list[tuple[int, int]]
-    num_tokens: int
+    assignment: SpanAssignment  # the token and span layout it was trained on
 
     def predict_scores(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
         """Scores (len(idx), N), ``PREDICT_CHUNK`` examples per forward pass.
@@ -419,8 +416,14 @@ class TrainedModel:
 
     def prepare(self, examples, labels, n_test: int = 0) -> TaskData:
         data = prepare_task_data(examples, labels, n_test, vocab=self.vocab)
-        if [(s, e) for s, e in data.assignment.spans] != self.spans:
-            raise ValidationError("dataset span layout differs from the trained model")
+        have, want = data.assignment, self.assignment
+        if have.num_tokens != want.num_tokens:
+            raise ValidationError(
+                f"{have.num_tokens} tokens per example, the model was trained on "
+                f"{want.num_tokens}"
+            )
+        if have.spans != want.spans:
+            raise ValidationError("entity span layout differs from the trained model")
         return data
 
     def save(self, path: str | Path) -> None:
@@ -428,16 +431,16 @@ class TrainedModel:
             "format": CHECKPOINT_FORMAT,
             "config": asdict(self.cfg),
             "vocab": self.vocab,
-            "spans": [list(s) for s in self.spans],
-            "num_tokens": self.num_tokens,
+            "spans": [list(s) for s in self.assignment.spans],
+            "num_tokens": self.assignment.num_tokens,
         }
         save_manifest(self.params, path, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        """Rebuild a saved model; a checkpoint that does not fit, or whose
-        arrays hold NaN or inf, raises ``ValidationError`` naming the file
-        and the first mismatch."""
+        """Rebuild a saved model; a checkpoint that does not fit, whose spans
+        leave its token range, or whose arrays hold NaN or inf, raises
+        ``ValidationError`` naming the file and the first mismatch."""
         try:
             arrays, meta = load_manifest(path)
             cfg = _checkpoint_config(meta)
@@ -445,14 +448,13 @@ class TrainedModel:
                 cfg=cfg,
                 params=arrays,
                 vocab=[str(t) for t in meta["vocab"]],
-                spans=[(int(s), int(e)) for s, e in meta["spans"]],
-                num_tokens=int(meta["num_tokens"]),
+                assignment=SpanAssignment(meta["spans"], meta["num_tokens"]),
             )
         except KeyError as exc:
             raise ValidationError(f"{path}: checkpoint meta lacks {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: {exc}") from exc
-        expected = param_shapes(cfg, len(model.vocab), model.num_tokens)
+        expected = param_shapes(cfg, len(model.vocab), model.assignment.num_tokens)
         for name in sorted(set(expected) | set(arrays)):
             if name not in arrays:
                 raise ValidationError(f"{path}: no array {name!r}, which {cfg.variant} needs")
@@ -469,15 +471,6 @@ class TrainedModel:
 
 
 def _checkpoint_config(meta: dict) -> ExperimentConfig:
-    if "format" not in meta:
-        return ExperimentConfig(
-            variant=meta["variant"],
-            hops=int(meta["hops"]),
-            hidden_dim=int(meta["hidden_dim"]),
-            num_heads=int(meta["num_heads"]),
-            leaky_slope=float(meta.get("leaky_slope", 0.2)),
-            seed=int(meta.get("seed", 0)),
-        ).validate()
     if meta["format"] != CHECKPOINT_FORMAT:
         raise ValidationError(f"unsupported checkpoint format {meta['format']!r}")
     values = meta["config"]
@@ -575,8 +568,15 @@ def train(
     cfg: ExperimentConfig,
     data: TaskData,
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
+    on_epoch: Callable[[int, float, TrainedModel], None] | None = None,
 ) -> tuple[TrainedModel, MetricsReport]:
     """Deterministic Adam training; returns the model and its metrics.
+
+    ``on_epoch(epoch, mean_loss, model)``, if given, runs after each epoch.
+    Its ``model`` holds the live parameter dict, not a copy, so it predicts
+    with the weights as they stand; the callback must only read them. The
+    model's forward pass draws no random numbers, so evaluating in the
+    callback leaves every bit of the run as it is without one.
 
     Results repeat bit for bit for a fixed BLAS thread count. OpenBLAS
     splits a large enough GEMM across its threads, which changes the order
@@ -592,25 +592,21 @@ def train(
     started = time.perf_counter()
     rng = SeededRng(cfg.seed)
     params = init_model_params(cfg, data, rng.split(100))
+    model = TrainedModel(cfg=cfg, params=params, vocab=data.vocab, assignment=data.assignment)
     opt = Adam(params, cfg.learning_rate)
     shuffle_rng = rng.split(200)
     train_idx = data.train_idx
     loss_curve = []
     step = 0
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
         losses = []
         for lo in range(0, order.size, cfg.batch_size):
             losses.append(_train_step(cfg, opt, data, order[lo : lo + cfg.batch_size], step))
             step += 1
         loss_curve.append(float(np.mean(losses)))
-    model = TrainedModel(
-        cfg=cfg,
-        params=params,
-        vocab=data.vocab,
-        spans=[(s, e) for s, e in data.assignment.spans],
-        num_tokens=data.token_ids.shape[1],
-    )
+        if on_epoch is not None:
+            on_epoch(epoch, loss_curve[-1], model)
     bins, accuracy = density_bins(model, data, data.test_idx, quantiles)
     report = MetricsReport(
         variant=cfg.variant,

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,22 @@ def test_train_eval_probe_pipeline(tmp_path):
     rows = json.loads((out / "head_report.json").read_text())["heads"]
     assert len(rows) == 4  # 2 layers x 2 heads
     assert (out / "head_report.csv").read_text().startswith("layer,head,")
+
+
+def test_train_prints_held_out_accuracy_by_bin_each_epoch(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--set", "num_examples=60", "--set", "hidden_dim=8",
+                 "--set", "epochs=3", "--test-count", "20", "--quantiles", "0.5,1.0",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    parsed = [
+        re.fullmatch(r"epoch (\d+): loss \S+ held-out (\S+) bins (\S+) (\S+) \(\S+s\)", line)
+        for line in lines
+    ]
+    assert all(parsed), lines
+    assert [int(m[1]) for m in parsed] == [0, 1, 2]
+    metrics = json.loads((out / "metrics_graph_attention_seed7.json").read_text())
+    assert parsed[-1][2] == f"{metrics['accuracy']:.4f}"
 
 
 def test_probe_heads_on_planted_traces(tmp_path):

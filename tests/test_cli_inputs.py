@@ -64,10 +64,10 @@ def _jsonl(path, rows) -> str:
     return str(path)
 
 
-def _on_dataset(command, mutate):
+def _on_dataset(command, mutate, variant="graph_attention"):
     """argv running ``command`` on TRAIN's 40 synthetic examples, written by
     gen-synthetic and then mutated as ``mutate(examples, labels)``; eval-density
-    reads a model that TRAIN made first."""
+    reads a ``variant`` model that TRAIN made first."""
 
     def argv(tmp_path) -> list[str]:
         gen = tmp_path / "gen"
@@ -80,8 +80,9 @@ def _on_dataset(command, mutate):
         data = _jsonl(tmp_path / "data.jsonl", rows)
         labs = _jsonl(tmp_path / "labels.jsonl", labels)
         if command == "eval-density":
-            assert main([*TRAIN, "--out", str(tmp_path / "model")]) == 0
-            model = tmp_path / "model" / "model_graph_attention_seed7.json"
+            assert main([*TRAIN, "--set", f"variant={variant}", "--set", "num_heads=2",
+                         "--out", str(tmp_path / "model")]) == 0
+            model = tmp_path / "model" / f"model_{variant}_seed7.json"
             return [command, "--model", str(model), "--dataset", data, "--labels", labs]
         if command == "train":
             return [*TRAIN_ON, "--dataset", data, "--labels", labs]
@@ -119,9 +120,14 @@ def _set_id(value):
     return mutate
 
 
-def _checkpoint_with(variant, name, value):
+def _append_two_tokens(rows, labels):
+    for row in rows:
+        row["tokens"] += row["tokens"][-2:]
+
+
+def _checkpoint_with(variant, edit):
     """argv of eval-density on 40 generated examples with a ``variant`` model
-    that TRAIN made, its array ``name`` holding ``value`` as first entry."""
+    that TRAIN made, its checkpoint JSON passed through ``edit``."""
 
     def argv(tmp_path) -> list[str]:
         gen, model = tmp_path / "gen", tmp_path / "model"
@@ -130,15 +136,29 @@ def _checkpoint_with(variant, name, value):
                      "--out", str(model)]) == 0
         path = model / f"model_{variant}_seed7.json"
         doc = json.loads(path.read_text())
-        array = decode_array(doc["arrays"][name])
-        array.flat[0] = value
-        doc["arrays"][name] = encode_array(array)
+        edit(doc)
         path.write_text(json.dumps(doc))
         return ["eval-density", "--model", str(path),
                 "--dataset", str(gen / "dataset_seed11.jsonl"),
                 "--labels", str(gen / "labels_seed11.jsonl")]
 
     return argv
+
+
+def _set_array_entry(name, value):
+    """Checkpoint edit: array ``name`` holds ``value`` as first entry."""
+
+    def edit(doc):
+        array = decode_array(doc["arrays"][name])
+        array.flat[0] = value
+        doc["arrays"][name] = encode_array(array)
+
+    return edit
+
+
+def _last_span_past_the_tokens(doc):
+    n = doc["meta"]["num_tokens"]
+    doc["meta"]["spans"][-1] = [n, n + 2]
 
 
 def _all_entity_dataset(tmp_path) -> list[str]:
@@ -230,11 +250,23 @@ CASES = {
         _on_dataset("train", _set_label("id", 5)), 2,
         "labels.jsonl:1: id must be a string, got 5"),
     "eval-density NaN in a transformer checkpoint": (
-        _checkpoint_with("transformer", "tf.1.wq", math.nan), 2,
+        _checkpoint_with("transformer", _set_array_entry("tf.1.wq", math.nan)), 2,
         "model_transformer_seed7.json: array 'tf.1.wq' holds NaN or inf"),
     "eval-density inf in a graph_attention checkpoint": (
-        _checkpoint_with("graph_attention", "scorer", math.inf), 2,
+        _checkpoint_with("graph_attention", _set_array_entry("scorer", math.inf)), 2,
         "model_graph_attention_seed7.json: array 'scorer' holds NaN or inf"),
+    "eval-density checkpoint span past its tokens": (
+        _checkpoint_with("graph_attention", _last_span_past_the_tokens), 2,
+        "model_graph_attention_seed7.json: entity 8: range [28, 30) outside [0, 28)"),
+    "eval-density checkpoint without a format": (
+        _checkpoint_with("graph_attention", lambda doc: doc["meta"].pop("format")), 2,
+        "model_graph_attention_seed7.json: checkpoint meta lacks 'format'"),
+    **{
+        f"eval-density two more tokens than the {variant} model": (
+            _on_dataset("eval-density", _append_two_tokens, variant), 2,
+            "data.jsonl: 30 tokens per example, the model was trained on 28")
+        for variant in ("graph_attention", "transformer")
+    },
 }
 
 

@@ -11,7 +11,6 @@ import pytest
 from attnlab.errors import ValidationError
 from attnlab.numerics import SeededRng, finite_diff_grad, relative_error
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic
-from attnlab.serialize import save_manifest
 from attnlab.train import (
     PREDICT_CHUNK,
     VARIANTS,
@@ -211,8 +210,7 @@ def untrained_model(variant, data, **kw):
         cfg=cfg,
         params=init_model_params(cfg, data, SeededRng(cfg.seed)),
         vocab=data.vocab,
-        spans=[(s, e) for s, e in data.assignment.spans],
-        num_tokens=data.token_ids.shape[1],
+        assignment=data.assignment,
     )
 
 
@@ -238,27 +236,6 @@ def test_param_shapes_is_the_init_layout():
         params = init_model_params(cfg, data, SeededRng(0))
         expected = param_shapes(cfg, len(data.vocab), data.token_ids.shape[1])
         assert {k: v.shape for k, v in params.items()} == expected
-
-
-def test_checkpoint_without_format_loads_as_before(tmp_path):
-    data = small_data(n=40, n_test=30)
-    model = untrained_model("graph_attention", data)
-    cfg = model.cfg
-    meta = {
-        "variant": cfg.variant, "hops": cfg.hops, "hidden_dim": cfg.hidden_dim,
-        "num_heads": cfg.num_heads, "leaky_slope": cfg.leaky_slope, "seed": cfg.seed,
-        "vocab": model.vocab, "spans": [list(s) for s in model.spans],
-        "num_tokens": model.num_tokens,
-    }
-    save_manifest(model.params, tmp_path / "old.json", meta)
-    loaded = TrainedModel.load(tmp_path / "old.json")
-    assert loaded.cfg == ExperimentConfig(
-        variant=cfg.variant, hops=cfg.hops, hidden_dim=cfg.hidden_dim,
-        num_heads=cfg.num_heads, leaky_slope=cfg.leaky_slope, seed=cfg.seed,
-    )
-    assert np.array_equal(
-        loaded.predict_scores(data, data.test_idx), model.predict_scores(data, data.test_idx)
-    )
 
 
 def test_checkpoint_with_mistyped_config_is_rejected(tmp_path):
@@ -364,6 +341,34 @@ def test_evaluate_by_density_on_fresh_examples():
     fresh = model.prepare(examples, labels)
     bins, _ = density_bins(model, fresh, np.arange(fresh.n))
     assert sum(b["size"] for b in bins) == 25
+
+
+def test_on_epoch_sees_every_epoch_and_the_live_weights():
+    data = small_data(n=60, n_test=20)
+    seen = []
+
+    def on_epoch(epoch, loss, model):
+        seen.append((epoch, loss, model.predict_scores(data, data.test_idx)))
+
+    model, report = train(small_cfg("graph_attention", epochs=3), data, on_epoch=on_epoch)
+    assert [e for e, _, _ in seen] == [0, 1, 2]
+    assert [loss for _, loss, _ in seen] == report.loss_curve
+    assert np.array_equal(seen[-1][2], model.predict_scores(data, data.test_idx))
+    assert not np.array_equal(seen[0][2], seen[-1][2])
+
+
+@pytest.mark.parametrize("variant", ["graph_attention", "transformer"])
+def test_evaluating_every_epoch_changes_no_bit(variant):
+    data = small_data(n=80, n_test=30)
+    cfg = small_cfg(variant, epochs=3)
+    plain, plain_report = train(cfg, data)
+    watched, watched_report = train(
+        cfg, data, on_epoch=lambda epoch, loss, model: density_bins(model, data, data.test_idx)
+    )
+    assert watched_report.loss_curve == plain_report.loss_curve
+    assert sorted(watched.params) == sorted(plain.params)
+    for k in plain.params:
+        assert np.array_equal(watched.params[k], plain.params[k]), k
 
 
 def test_divergence_raises_with_step():
