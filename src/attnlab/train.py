@@ -78,6 +78,8 @@ PREDICT_CHUNK = 24
 CHECKPOINT_FORMAT = 2
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# elements per block of Adam's in-place update: 256 KB per float64 operand
+_ADAM_BLOCK = 2**15
 # glibc ``mallopt`` parameters (malloc.h) and the values ``_reuse_freed_pages`` sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 KEEP_FREE_BYTES = 256 * 2**20
@@ -363,26 +365,57 @@ def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray):
 
 
 class Adam:
-    """Per-parameter adaptive steps with bias correction."""
+    """Per-parameter adaptive steps with bias correction (Kingma & Ba).
+
+    The update runs in place, ``_ADAM_BLOCK`` elements at a time, through
+    two scratch buffers allocated once: each block's operands stay in cache
+    and no step allocates a full-size temporary. Every element goes through
+    the same float operations in the same order as the whole-array update
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    so the result is bit-identical to it. The parameters must be
+    C-contiguous, so that their flat views write through.
+    """
 
     def __init__(self, params: dict, lr: float):
+        for k, p in params.items():
+            if not p.flags.c_contiguous:
+                raise ValidationError(f"Adam updates parameter {k!r} in place: not C-contiguous")
         self.params = params
         self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        size = min(_ADAM_BLOCK, max((p.size for p in params.values()), default=0))
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict) -> None:
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, g in grads.items():
-            m, v = self.m[k], self.v[k]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            self.params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+            p, m, v, g = (a.reshape(-1) for a in (self.params[k], self.m[k], self.v[k], g))
+            for lo in range(0, p.size, _ADAM_BLOCK):
+                blk = slice(lo, lo + _ADAM_BLOCK)
+                self._update(p[blk], m[blk], v[blk], g[blk], b1c, b2c)
+
+    def _update(self, p, m, v, g, b1c: float, b2c: float) -> None:
+        step, denom = (s[: p.size] for s in self._scratch)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - ADAM_BETA2
+        v += step
+        np.divide(m, b1c, out=step)
+        step *= self.lr
+        np.divide(v, b2c, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p -= step
 
 
 # ---------------------------------------------------------------------------

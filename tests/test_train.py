@@ -12,6 +12,10 @@ from attnlab.errors import ValidationError
 from attnlab.numerics import SeededRng, finite_diff_grad, relative_error
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic
 from attnlab.train import (
+    _ADAM_BLOCK,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PREDICT_CHUNK,
     VARIANTS,
     Adam,
@@ -416,4 +420,31 @@ def test_adam_matches_reference_update():
     m = 0.1 * g
     v = 0.001 * g * g
     want = p0 - 0.01 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
-    np.testing.assert_allclose(p["w"], want, atol=1e-12)
+    np.testing.assert_array_equal(p["w"], want)
+
+
+@pytest.mark.parametrize("size", [1, 5, _ADAM_BLOCK, 2 * _ADAM_BLOCK + 17])
+def test_blocked_adam_is_bit_equal_to_the_whole_array_update(size):
+    rng = SeededRng(size)
+    shapes = {"w": (size,), "s": (2, 3)}
+    params = {k: rng.normal(shape) for k, shape in shapes.items()}
+    want = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    opt = Adam(params, lr=0.01)
+    for t in range(1, 4):
+        grads = {k: rng.normal(shape) for k, shape in shapes.items()}
+        opt.step(grads)
+        for k, g in grads.items():
+            m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * (g * g)
+            b1c, b2c = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            want[k] -= 0.01 * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + ADAM_EPS)
+            np.testing.assert_array_equal(params[k], want[k])
+            np.testing.assert_array_equal(opt.m[k], m[k])
+            np.testing.assert_array_equal(opt.v[k], v[k])
+
+
+def test_adam_refuses_a_parameter_it_cannot_update_in_place():
+    with pytest.raises(ValidationError, match="'w'"):
+        Adam({"w": np.ones((3, 4)).T}, lr=0.01)
