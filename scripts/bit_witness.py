@@ -10,11 +10,11 @@ BLAS splits a large enough GEMM across threads, which changes its sums'
 order, so only outputs made with the same thread count compare bit for
 bit. Then one JSON line per model (graph_attention, graph_attention with
 ``force_fully_connected``, self_attention, transformer and none at width
-48, and graph_attention at the default width 300; 2 epochs, 400 synthetic
-examples of which 100 are held out) holds the
+48, and graph_attention and transformer at the default width 300; 2
+epochs, 400 synthetic examples of which 100 are held out) holds the
 loss curve as ``float.hex``, the sha256 of the parameters in sorted-name
 order, the sha256 of the held-out scores and the sha256 of the bytes of
-the saved checkpoint. The transformer line also holds the sha256 of the
+the saved checkpoint. Each transformer line also holds the sha256 of the
 attention traces ``transformer_traces`` exports for the first 8 held-out
 examples (every head's matrix, layer by layer) and the ``head_report_rows``
 of those traces, one ``[layer, head, colmean, rawsum, rank]`` per head with
@@ -56,7 +56,8 @@ from attnlab.train import (  # noqa: E402
 )
 
 # (variant, force_fully_connected, hidden_dim): the width-48 GEMMs stay below
-# the sizes where OpenBLAS splits one across threads; width 300 does not
+# the sizes where OpenBLAS splits one across threads; only the width-300
+# lines check the GEMM shapes of the default config
 MODELS = (
     ("graph_attention", False, 48),
     ("graph_attention", True, 48),
@@ -64,6 +65,7 @@ MODELS = (
     ("transformer", False, 48),
     ("none", False, 48),
     ("graph_attention", False, 300),
+    ("transformer", False, 300),
 )
 TRACE_EXAMPLES = 8
 GRADCHECK_KEYS = ("graph_attention", "graph2doc", "fusion_block", "transformer")

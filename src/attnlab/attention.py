@@ -13,7 +13,13 @@ that it does.
 
 The transformer is post-norm (layer norm after each residual add) and
 attends over every token: batches share one token layout, so there is
-no padding to mask.
+no padding to mask. ``transformer_batch_forward`` takes the query rows
+``rows``, the token positions whose final states the caller reads. Its
+last layer computes only those rows: their queries and attention rows,
+``wo`` and the residual, both layer norms and the FFN, while its keys and
+values still span all L tokens. Earlier layers compute every row, since
+each row is a key and a value of the next layer. ``rows=None`` computes
+every row of every layer, as the head probe's (L, L) traces need.
 
 Weights are plain dicts of arrays keyed by the short names a checkpoint
 uses, where ``train`` prefixes them with the layer (``fusion.0.proj``,
@@ -300,9 +306,12 @@ def _outer_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _mha_forward(x, lp: dict, num_heads):
+def _mha_forward(x, lp: dict, num_heads, rows=None):
+    """Attention of the query ``rows`` of x (every row when None) over all
+    of x. The cache starts with those rows' input, which the residual adds."""
+    xq = x if rows is None else x[:, rows]
     scale = 1.0 / np.sqrt(x.shape[-1] // num_heads)
-    q = _split_heads(_flat_mm(x, lp["wq"]), num_heads)
+    q = _split_heads(_flat_mm(xq, lp["wq"]), num_heads)
     k = _split_heads(_flat_mm(x, lp["wk"]), num_heads)
     v = _split_heads(_flat_mm(x, lp["wv"]), num_heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
@@ -310,11 +319,11 @@ def _mha_forward(x, lp: dict, num_heads):
     ctx = alpha @ v
     merged = _merge_heads(ctx)
     out = _flat_mm(merged, lp["wo"])
-    return out, alpha, (x, q, k, v, alpha, merged, scale)
+    return out, alpha, (xq, x, rows, q, k, v, alpha, merged, scale)
 
 
 def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
-    x, q, k, v, alpha, merged, scale = mha_cache
+    xq, x, rows, q, k, v, alpha, merged, scale = mha_cache
     d_wo = _outer_grad(merged, d_out)
     d_merged = _flat_mm(d_out, lp["wo"].T)
     d_ctx = _split_heads(d_merged, num_heads)
@@ -325,10 +334,14 @@ def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
     dq = (d_scores @ k) * scale
     dk = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
     dqm, dkm, dvm = (_merge_heads(a) for a in (dq, dk, dv))
-    d_wq = _outer_grad(x, dqm)
+    d_wq = _outer_grad(xq, dqm)
     d_wk = _outer_grad(x, dkm)
     d_wv = _outer_grad(x, dvm)
-    dx = _flat_mm(dqm, lp["wq"].T)
+    if rows is None:
+        dx = _flat_mm(dqm, lp["wq"].T)
+    else:
+        dx = np.zeros(x.shape)
+        dx[:, rows] = _flat_mm(dqm, lp["wq"].T)
     dx += _flat_mm(dkm, lp["wk"].T)
     dx += _flat_mm(dvm, lp["wv"].T)
     return dx, {"wq": d_wq, "wk": d_wk, "wv": d_wv, "wo": d_wo}
@@ -356,15 +369,18 @@ def _ffn_backward(d_out, ffn_cache, lp: dict):
 
 
 def transformer_batch_forward(
-    X: np.ndarray, layers: list[dict], num_heads: int
+    X: np.ndarray, layers: list[dict], num_heads: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[np.ndarray], tuple]:
     """Post-norm encoder stack over (B, L, model_dim).
 
     ``layers`` holds one dict per layer, as ``init_transformer_params``
-    makes them; ``wq`` of the first fixes model_dim.
+    makes them; ``wq`` of the first fixes model_dim. ``rows`` (ascending
+    token positions, or None for all L) are the rows the last layer
+    computes.
 
-    Returns final states, per-layer row-stochastic attention traces
-    (B, heads, L, L), and the backward cache.
+    Returns final states (B, len(rows), model_dim), per-layer
+    row-stochastic attention traces (B, heads, L, L; the last layer's has
+    len(rows) query rows), and the backward cache.
     """
     if not layers:
         raise ValidationError("need at least one layer")
@@ -380,9 +396,10 @@ def transformer_batch_forward(
     traces = []
     layer_caches = []
     x = X
-    for lp in layers:
-        a_out, alpha, mha_c = _mha_forward(x, lp, num_heads)
-        a_out += x
+    for i, lp in enumerate(layers):
+        q_rows = rows if i == len(layers) - 1 else None
+        a_out, alpha, mha_c = _mha_forward(x, lp, num_heads, q_rows)
+        a_out += mha_c[0]  # the query rows' input
         x1, ln1c = _layernorm_forward(a_out, lp["ln1_gain"], lp["ln1_bias"])
         f_out, ffn_c = _ffn_forward(x1, lp)
         f_out += x1
@@ -393,7 +410,8 @@ def transformer_batch_forward(
 
 
 def transformer_batch_backward(cache, d_out: np.ndarray):
-    """Returns (dX, per-layer dict of parameter gradients)."""
+    """Returns (dX, per-layer dict of parameter gradients); ``d_out`` has
+    the forward's output rows, dX all L."""
     layers, num_heads, layer_caches = cache
     grads: list[dict[str, np.ndarray]] = []
     dx = d_out
@@ -408,7 +426,11 @@ def transformer_batch_backward(cache, d_out: np.ndarray):
         d_r1, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_x1, ln1c)
         dx, mha_g = _mha_backward(d_r1, mha_c, lp, num_heads)
         g.update(mha_g)
-        dx += d_r1
+        rows = mha_c[2]
+        if rows is None:
+            dx += d_r1
+        else:
+            dx[:, rows] += d_r1
         grads.append(g)
     grads.reverse()
     return dx, grads

@@ -208,14 +208,15 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _epoch_printer(data, quantiles):
-    """``train``'s ``on_epoch``: prints the epoch's held-out accuracy, overall
-    and per density bin, to stderr."""
+def _epoch_printer(data, quantiles, epochs: int):
+    """``train``'s ``on_epoch``, which prints each epoch's held-out accuracy,
+    overall and per density bin, to stderr, and a function that prints the
+    last epoch's line from ``train``'s report. ``train`` closes with that
+    evaluation on the same weights, so ``on_epoch`` skips it there."""
     last = time.perf_counter()
 
-    def on_epoch(epoch: int, loss: float, model: TrainedModel) -> None:
+    def line(epoch: int, loss: float, bins: list[dict], accuracy: float) -> None:
         nonlocal last
-        bins, accuracy = density_bins(model, data, data.test_idx, quantiles)
         per_bin = " ".join("-" if b["accuracy"] is None else f"{b['accuracy']:.4f}" for b in bins)
         now = time.perf_counter()
         print(
@@ -226,7 +227,14 @@ def _epoch_printer(data, quantiles):
         )
         last = now
 
-    return on_epoch
+    def on_epoch(epoch: int, loss: float, model: TrainedModel) -> None:
+        if epoch < epochs - 1:
+            line(epoch, loss, *density_bins(model, data, data.test_idx, quantiles))
+
+    def print_last(report) -> None:
+        line(epochs - 1, report.loss_curve[-1], report.bins, report.accuracy)
+
+    return on_epoch, print_last
 
 
 def cmd_train(args) -> int:
@@ -254,7 +262,9 @@ def cmd_train(args) -> int:
     if args.emit_traces:
         check_entity_mask(data.entity_mask)
     out = _out_dir(args)
-    model, report = train(cfg, data, quantiles, on_epoch=_epoch_printer(data, quantiles))
+    on_epoch, print_last = _epoch_printer(data, quantiles, cfg.epochs)
+    model, report = train(cfg, data, quantiles, on_epoch=on_epoch)
+    print_last(report)
     stem = f"{cfg.variant}_seed{cfg.seed}"
     model.save(out / f"model_{stem}.json")
     write_json(report.to_json_dict(), out / f"metrics_{stem}.json")

@@ -27,8 +27,12 @@ each row from that row and the node states alone, so an uncovered row
 graph_attention, self_attention and none variants therefore compute only
 the covered rows (18 of the 28 tokens at the default task), with the span
 assignment re-indexed to them; their ``pos`` gradient is exactly zero at
-the uncovered positions. The transformer computes every row, because each
-token attends to every other.
+the uncovered positions. In the transformer every token is a key and a
+value of every layer, so all layers but the last compute every row. The
+last layer's output feeds only the pooling, so it computes the covered
+rows alone: their queries and attention rows, ``wo`` and the residual,
+both layer norms and the FFN, with keys and values over all L tokens. Its
+``pos`` gradient stays non-zero at the uncovered positions.
 
 All parameters live in one flat dict of arrays, the same one that Adam
 updates and a checkpoint stores: ``embed``, ``pos`` and ``scorer``, plus
@@ -67,7 +71,7 @@ from .fusion import (
 )
 from .head_probe import AttentionTrace
 from .numerics import SeededRng
-from .serialize import load_manifest, save_manifest, write_csv
+from .serialize import json_int, json_str, load_manifest, save_manifest, write_csv
 
 VARIANTS = ("graph_attention", "self_attention", "transformer", "none")
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -296,22 +300,22 @@ def _layers(params: dict, prefix: str, count: int) -> list[dict]:
 def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.ndarray):
     """Scores (B, N) over answer nodes plus the cache for backward.
 
-    The transformer computes all L token rows. The other variants compute
-    only the rows some entity span covers, over the assignment re-indexed
-    to them (``SpanAssignment.covered``): no other row reaches the pooled
-    nodes, so the scores are those of the full sequence up to the order
-    of floating-point sums.
+    Pooling reads only the rows some entity span covers, over the
+    assignment re-indexed to them (``SpanAssignment.covered``). The hop-loop
+    variants compute only those rows. The transformer embeds all L tokens
+    and its earlier layers compute every row, since each row is a key and
+    value of the next layer; its last layer computes the covered rows alone.
+    No other row reaches the pooled nodes, so the scores are those of the
+    full sequence up to the order of floating-point sums.
     """
-    if cfg.variant == "transformer":
-        rows, assignment = slice(None), data.assignment
-    else:
-        rows, assignment = data.assignment.covered
-    tok = data.token_ids[idx][:, rows]
-    x = params["embed"][tok] + params["pos"][rows]
+    rows, assignment = data.assignment.covered
+    embedded = slice(None) if cfg.variant == "transformer" else rows
+    tok = data.token_ids[idx][:, embedded]
+    x = params["embed"][tok] + params["pos"][embedded]
     body_cache = None
     if cfg.variant == "transformer":
         layers = _layers(params, "tf", cfg.hops)
-        x, _, body_cache = transformer_batch_forward(x, layers, cfg.num_heads)
+        x, _, body_cache = transformer_batch_forward(x, layers, cfg.num_heads, rows)
     elif cfg.variant != "none":
         unmasked = cfg.variant == "self_attention" or cfg.force_fully_connected
         x, _, body_cache = fusion_batch_forward(
@@ -319,7 +323,7 @@ def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.n
             _layers(params, "fusion", cfg.hops), cfg.leaky_slope,
         )
     nodes, pool_c = pool_batch_forward(x, assignment)
-    return nodes @ params["scorer"], (tok, rows, body_cache, pool_c, nodes)
+    return nodes @ params["scorer"], (tok, embedded, body_cache, pool_c, nodes)
 
 
 def _scorer_grad(d_scores: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -334,7 +338,7 @@ def _embedding_grad(vocab_size: int, tok: np.ndarray, dx0: np.ndarray) -> np.nda
 
 
 def model_backward(cfg: ExperimentConfig, params: dict, cache, d_scores: np.ndarray) -> dict:
-    tok, rows, body_cache, pool_c, nodes = cache
+    tok, embedded, body_cache, pool_c, nodes = cache
     grads = {"scorer": _scorer_grad(d_scores, nodes)}
     dx = pool_batch_backward(pool_c, d_scores[:, :, None] * params["scorer"])
     if body_cache is not None:
@@ -346,7 +350,7 @@ def model_backward(cfg: ExperimentConfig, params: dict, cache, d_scores: np.ndar
             grads.update(_prefixed("fusion", layer_grads))
     grads["embed"] = _embedding_grad(params["embed"].shape[0], tok, dx)
     grads["pos"] = np.zeros_like(params["pos"])
-    grads["pos"][rows] = dx.sum(axis=0)
+    grads["pos"][embedded] = dx.sum(axis=0)
     return grads
 
 
@@ -471,17 +475,24 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        """Rebuild a saved model; a checkpoint that does not fit, whose spans
-        leave its token range, or whose arrays hold NaN or inf, raises
-        ``ValidationError`` naming the file and the first mismatch."""
+        """Rebuild a saved model; a checkpoint that does not fit, whose meta
+        holds a span bound, token count or vocab entry of the wrong JSON type,
+        whose spans leave its token range, or whose arrays hold NaN or inf,
+        raises ``ValidationError`` naming the file and the first mismatch."""
         try:
             arrays, meta = load_manifest(path)
             cfg = _checkpoint_config(meta)
             model = cls(
                 cfg=cfg,
                 params=arrays,
-                vocab=[str(t) for t in meta["vocab"]],
-                assignment=SpanAssignment(meta["spans"], meta["num_tokens"]),
+                vocab=[json_str(t, f"vocab[{i}]") for i, t in enumerate(meta["vocab"])],
+                assignment=SpanAssignment(
+                    [
+                        (json_int(s, f"spans[{k}][0]"), json_int(e, f"spans[{k}][1]"))
+                        for k, (s, e) in enumerate(meta["spans"])
+                    ],
+                    json_int(meta["num_tokens"], "num_tokens"),
+                ),
             )
         except KeyError as exc:
             raise ValidationError(f"{path}: checkpoint meta lacks {exc}") from exc

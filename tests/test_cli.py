@@ -139,6 +139,33 @@ def test_train_prints_held_out_accuracy_by_bin_each_epoch(tmp_path, capsys):
     assert parsed[-1][2] == f"{metrics['accuracy']:.4f}"
 
 
+def test_train_evaluates_the_held_out_slice_once_per_epoch(tmp_path, capsys, monkeypatch):
+    import attnlab.cli
+    import attnlab.train
+
+    calls = []
+    density_bins = attnlab.train.density_bins
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return density_bins(*args, **kwargs)
+
+    monkeypatch.setattr(attnlab.train, "density_bins", counted)
+    monkeypatch.setattr(attnlab.cli, "density_bins", counted)
+    out = tmp_path / "out"
+    assert main(["train", "--set", "num_examples=60", "--set", "hidden_dim=8",
+                 "--set", "epochs=2", "--test-count", "20", "--out", str(out)]) == 0
+    assert len(calls) == 2  # epoch 0's, and train's closing one for epoch 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    metrics = json.loads((out / "metrics_graph_attention_seed7.json").read_text())
+    per_bin = " ".join("-" if b["accuracy"] is None else f"{b['accuracy']:.4f}"
+                       for b in metrics["bins"])
+    assert last.startswith(
+        f"epoch 1: loss {metrics['loss_curve'][-1]:.4f} held-out {metrics['accuracy']:.4f} "
+        f"bins {per_bin} ("
+    ), last
+
+
 def test_probe_heads_on_planted_traces(tmp_path):
     rng = np.random.default_rng(0)
     L = 10

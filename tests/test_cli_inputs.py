@@ -156,6 +156,19 @@ def _set_array_entry(name, value):
     return edit
 
 
+def _set_meta(*keys, value):
+    """Checkpoint edit: the meta entry reached through ``keys`` holds ``value``."""
+
+    def edit(doc):
+        *path, last = keys
+        entry = doc["meta"]
+        for key in path:
+            entry = entry[key]
+        entry[last] = value
+
+    return edit
+
+
 def _last_span_past_the_tokens(doc):
     n = doc["meta"]["num_tokens"]
     doc["meta"]["spans"][-1] = [n, n + 2]
@@ -258,6 +271,15 @@ CASES = {
     "eval-density checkpoint span past its tokens": (
         _checkpoint_with("graph_attention", _last_span_past_the_tokens), 2,
         "model_graph_attention_seed7.json: entity 8: range [28, 30) outside [0, 28)"),
+    "eval-density checkpoint float span end": (
+        _checkpoint_with("graph_attention", _set_meta("spans", 0, 1, value=2.9)), 2,
+        "model_graph_attention_seed7.json: spans[0][1] must be an integer, got 2.9"),
+    "eval-density checkpoint bool num_tokens": (
+        _checkpoint_with("graph_attention", _set_meta("num_tokens", value=True)), 2,
+        "model_graph_attention_seed7.json: num_tokens must be an integer, got true"),
+    "eval-density checkpoint null vocab entry": (
+        _checkpoint_with("transformer", _set_meta("vocab", 0, value=None)), 2,
+        "model_transformer_seed7.json: vocab[0] must be a string, got null"),
     "eval-density checkpoint without a format": (
         _checkpoint_with("graph_attention", lambda doc: doc["meta"].pop("format")), 2,
         "model_graph_attention_seed7.json: checkpoint meta lacks 'format'"),

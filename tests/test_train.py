@@ -93,8 +93,9 @@ def test_variant_gradients_match_finite_differences(variant):
 HOP_LOOP_VARIANTS = ["graph_attention", "self_attention", "none"]
 
 
-@pytest.mark.parametrize("variant", HOP_LOOP_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_forward_matches_per_example_modules(variant):
+    from attnlab.attention import transformer_forward
     from attnlab.entity_graph import build_graph
     from attnlab.fusion import fusion_block_forward, pool_batch_forward
     from attnlab.train import _layers
@@ -109,9 +110,11 @@ def test_batched_forward_matches_per_example_modules(variant):
     plist = _layers(params, "fusion", cfg.hops)
     asg = data.assignment
     for row, i in enumerate(idx):
-        # every token row, as the full-width hop loop computes them
+        # every token row, as the full-width modules compute them
         x = params["embed"][data.token_ids[i]] + params["pos"]
-        if variant != "none":
+        if variant == "transformer":
+            x, _, _ = transformer_forward(x, _layers(params, "tf", cfg.hops), cfg.num_heads)
+        elif variant != "none":
             adjacency = build_graph(examples[i]).adjacency if variant == "graph_attention" else None
             x, _, _ = fusion_block_forward(x, adjacency, asg, plist)
         nodes, _ = pool_batch_forward(x[None], asg)
@@ -136,6 +139,41 @@ def test_hop_loop_variants_compute_only_covered_rows(variant):
     assert d_pos.shape == params["pos"].shape
     assert (d_pos[~covered] == 0.0).all()
     assert (d_pos[covered] != 0.0).any()
+
+
+def test_transformer_last_layer_computes_only_covered_rows():
+    from attnlab.fusion import PoolCache
+
+    data = small_data(n=24, n_test=8)
+    covered = data.entity_mask
+    assert 0 < covered.sum() < covered.size
+    cfg = small_cfg("transformer", hidden_dim=6)
+    params = init_model_params(cfg, data, SeededRng(1))
+    idx = np.arange(6)
+    scores, cache = model_forward(cfg, params, data, idx)
+    (pool_c,) = [c for c in cache if isinstance(c, PoolCache)]
+    assert pool_c.C.shape == (idx.size, covered.sum(), cfg.hidden_dim)
+    _, d_scores = softmax_cross_entropy(scores, data.labels[idx])
+    d_pos = model_backward(cfg, params, cache, d_scores)["pos"]
+    # every position is a key and a value of every layer
+    assert (d_pos != 0.0).any(axis=1).all()
+
+
+def test_transformer_traces_keep_every_query_row():
+    from attnlab.attention import transformer_batch_forward
+    from attnlab.train import _layers
+
+    data = small_data(n=30, n_test=10)
+    model = untrained_model("transformer", data)
+    cfg, params = model.cfg, model.params
+    idx = data.test_idx[:5]
+    traces = transformer_traces(model, data, idx)
+    x = params["embed"][data.token_ids[idx]] + params["pos"]
+    want = transformer_batch_forward(x, _layers(params, "tf", cfg.hops), cfg.num_heads)[1]
+    L = data.token_ids.shape[1]
+    for b, trace in enumerate(traces):
+        assert trace.layers.shape == (cfg.hops, cfg.num_heads, L, L)
+        np.testing.assert_array_equal(trace.layers, np.stack([w[b] for w in want]))
 
 
 def test_degeneracy_step_identity_between_variants():
