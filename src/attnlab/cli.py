@@ -29,12 +29,13 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import checks
-from .config import build_dataclass, parse_config_file, parse_override
+from .config import fields_spec, parse_config_file, parse_override
 from .entity_graph import (
     build_graph,
     check_quantiles,
@@ -45,7 +46,7 @@ from .entity_graph import (
 from .errors import GenerationError, TrainingError, ValidationError
 from .head_probe import check_entity_mask, head_report_rows, load_traces, save_traces
 from .head_probe import write_head_report_csv
-from .serialize import write_csv, write_json
+from .serialize import record, write_csv, write_json
 from .synth import (
     SyntheticTaskConfig,
     generate_synthetic,
@@ -74,32 +75,26 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _config_values(args) -> dict:
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for item in args.set or []:
-        key, val = parse_override(item)
-        values[key] = val
-    return values
-
-
 def _build_configs(args, *classes) -> list:
-    """One validated instance of each config dataclass, from --config and --set."""
-    values = _config_values(args)
-    used: set[str] = set()
-    built = [build_dataclass(cls, values, used) for cls in classes]
-    unknown = sorted(set(values) - used)
-    if unknown:
-        raise ValidationError(
-            f"{args.command}: unknown config key(s) {', '.join(unknown)} "
-            f"(not a field of {' or '.join(cls.__name__ for cls in classes)})"
-        )
-    return [cfg.validate() for cfg in built]
+    """One validated instance of each config dataclass, from --config and
+    --set; a --set may override a key the file sets."""
+    spec = fields_spec(*classes)
+    items = parse_config_file(args.config) if args.config else []
+    items += [(f"--set {item}", *parse_override(item)) for item in args.set or []]
+    values = {}
+    for where, key, value in items:
+        if key not in spec:
+            names = " or ".join(cls.__name__ for cls in classes)
+            raise ValidationError(f"{where}: unknown config key {key} (not a field of {names})")
+        values[key] = record(value, spec[key], f"{where}: {key}")
+    return [
+        cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}).validate()
+        for cls in classes
+    ]
 
 
 def _labels_for(examples, labels_path) -> list[int]:
-    by_id = load_labels_jsonl(labels_path)
+    by_id = load_labels_jsonl(labels_path, {ex.id: len(ex.entity_spans) for ex in examples})
     missing = [ex.id for ex in examples if ex.id not in by_id]
     if missing:
         raise ValidationError(
@@ -125,8 +120,8 @@ def _check_at_least(flag: str, value: int, least: int) -> None:
 
 
 def _check_test_count(count: int, n: int) -> None:
-    if not 0 <= count < n:
-        raise ValidationError(f"--test-count {count}: must lie in [0, {n}) for {n} examples")
+    if not 0 < count < n:
+        raise ValidationError(f"--test-count {count}: must lie in [1, {n}) for {n} examples")
 
 
 def cmd_build_graph(args) -> int:

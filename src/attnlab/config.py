@@ -1,10 +1,10 @@
 """Flat key=value configuration files and CLI override handling.
 
-One assignment per line, ``#`` comments, values parsed as int, float,
-bool, or string in that order. Keys mirror the experiment and task
-config dataclass fields, and each value must fit its field's type: a bool
-takes only true/false, an int only an integral number, a float any
-number.
+One assignment per line, ``#`` comments, each key at most once; values
+parsed as int, float, bool, or string in that order. Keys mirror the
+config dataclasses' fields, whose types ``fields_spec`` makes the
+``serialize.record`` spec of the values: a bool takes only true/false, an
+int only an integer literal, a float any finite number.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import typing
 from dataclasses import fields
 from pathlib import Path
-
-from .errors import ValidationError
 
 
 def _parse_value(text: str):
@@ -29,8 +27,9 @@ def _parse_value(text: str):
     return text.strip("\"'")
 
 
-def parse_config_file(path: str | Path) -> dict:
-    values: dict = {}
+def parse_config_file(path: str | Path) -> list[tuple[str, str, object]]:
+    """``(path:line, key, value)`` of each assignment in the file."""
+    items = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -39,8 +38,11 @@ def parse_config_file(path: str | Path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = _parse_value(val)
-    return values
+            key = key.strip()
+            if any(key == seen for _, seen, _ in items):
+                raise ValueError(f"{path}:{lineno}: {key} is set on an earlier line")
+            items.append((f"{path}:{lineno}", key, _parse_value(val)))
+    return items
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -50,31 +52,11 @@ def parse_override(text: str) -> tuple[str, object]:
     return key.strip(), _parse_value(val)
 
 
-def _coerce(key: str, value, kind: type):
-    """``value`` as a ``kind``; ValidationError when it is not one."""
-    if isinstance(value, bool):
-        ok = kind is bool
-    elif kind is int:
-        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    elif kind is float:
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        hint = " (true or false)" if kind is bool else ""
-        raise ValidationError(f"config key {key}: expected {kind.__name__}{hint}, got {value!r}")
-    return kind(value)
-
-
-def build_dataclass(cls, values: dict, used: set[str] | None = None):
-    """Instantiate ``cls`` from the subset of ``values`` matching its fields,
-    each coerced to the field's annotated type."""
-    types = typing.get_type_hints(cls)
-    kwargs = {
-        f.name: _coerce(f.name, values[f.name], types[f.name])
-        for f in fields(cls)
-        if f.name in values
-    }
-    if used is not None:
-        used.update(kwargs)
-    return cls(**kwargs)
+def fields_spec(*classes) -> dict:
+    """``{field: type}`` over the dataclasses' fields: the ``serialize.record``
+    spec of their values."""
+    spec = {}
+    for cls in classes:
+        types = typing.get_type_hints(cls)
+        spec.update((f.name, types[f.name]) for f in fields(cls))
+    return spec

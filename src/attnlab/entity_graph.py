@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import Matrix
-from .serialize import json_int, json_str, read_jsonl, write_csv
+from .serialize import read_jsonl, record, write_csv
 
 
 def normalize_mention(mention: str) -> str:
@@ -45,33 +45,21 @@ class ContextExample:
     entity_spans: list[EntitySpan]
 
     def validate(self) -> "ContextExample":
-        n_tok = len(self.tokens)
-        prev_end = 0
+        ex, prev_end = f"example {self.id}", 0
         for k, (s, e) in enumerate(self.sentence_spans):
-            if not (0 <= s < e <= n_tok):
-                raise ValidationError(
-                    f"example {self.id}: sentence span {k} = [{s}, {e}) out of range"
-                )
-            if s < prev_end:
-                raise ValidationError(
-                    f"example {self.id}: sentence span {k} overlaps or is unsorted"
-                )
+            if not prev_end <= s < e <= len(self.tokens):
+                raise ValidationError(f"{ex}: sentence_spans[{k}] = [{s}, {e}) must be a "
+                                      f"non-empty range in [{prev_end}, {len(self.tokens)})")
             prev_end = e
-        for k, span in enumerate(self.entity_spans):
-            if span.end <= span.start:
+        for k, sp in enumerate(self.entity_spans):
+            if not 0 <= sp.sentence_index < len(self.sentence_spans):
+                raise ValidationError(f"{ex}: entity_spans[{k}].sentence_index "
+                                      f"{sp.sentence_index} names no sentence")
+            s, e = self.sentence_spans[sp.sentence_index]
+            if not s <= sp.start < sp.end <= e:
                 raise ValidationError(
-                    f"example {self.id}: entity span {k} ({span.mention!r}) is empty"
-                )
-            if not (0 <= span.sentence_index < len(self.sentence_spans)):
-                raise ValidationError(
-                    f"example {self.id}: entity span {k} ({span.mention!r}) "
-                    f"names missing sentence {span.sentence_index}"
-                )
-            s, e = self.sentence_spans[span.sentence_index]
-            if not (s <= span.start and span.end <= e):
-                raise ValidationError(
-                    f"example {self.id}: entity span {k} ({span.mention!r}) "
-                    f"[{span.start}, {span.end}) leaves sentence {span.sentence_index}"
+                    f"{ex}: entity_spans[{k}] = [{sp.start}, {sp.end}) must be a non-empty "
+                    f"range in sentence_spans[{sp.sentence_index}] = [{s}, {e})"
                 )
         return self
 
@@ -92,32 +80,25 @@ class ContextExample:
         }
 
 
+EXAMPLE = {"id": str, "tokens": [str], "sentence_spans": [(int, int)],
+           "entity_spans": [{"start": int, "end": int, "mention": str, "sentence_index": int}]}
+
+
 def example_from_json_dict(d: dict) -> ContextExample:
-    """Span bounds and sentence indices must be JSON integers, the id and
-    mentions strings, and tokens a list of strings; other types raise
-    ValueError naming the key. Tokens and mentions are interned, so a corpus
-    keeps one copy of each text."""
-    tokens = d["tokens"]
-    if type(tokens) is not list or not all(type(t) is str for t in tokens):
-        raise ValueError("tokens must be a list of strings")
-    sentence_spans = [
-        (json_int(s, f"sentence_spans[{k}][0]"), json_int(e, f"sentence_spans[{k}][1]"))
-        for k, (s, e) in enumerate(d["sentence_spans"])
-    ]
-    spans = [
-        EntitySpan(
-            start=json_int(sp["start"], f"entity_spans[{k}].start"),
-            end=json_int(sp["end"], f"entity_spans[{k}].end"),
-            mention=sys.intern(json_str(sp["mention"], f"entity_spans[{k}].mention")),
-            sentence_index=json_int(sp["sentence_index"], f"entity_spans[{k}].sentence_index"),
-        )
-        for k, sp in enumerate(d["entity_spans"])
-    ]
+    """``d`` checked against ``EXAMPLE`` and validated; a context with no
+    entity spans, whose graph would be empty, raises too. Tokens and
+    mentions are interned, so a corpus keeps one copy of each text."""
+    d = record(d, EXAMPLE)
+    if not d["entity_spans"]:
+        raise ValidationError(f"example {d['id']}: entity_spans is empty, so it has no graph")
     return ContextExample(
-        id=json_str(d["id"], "id"),
-        tokens=[sys.intern(t) for t in tokens],
-        sentence_spans=sentence_spans,
-        entity_spans=spans,
+        id=d["id"],
+        tokens=[sys.intern(t) for t in d["tokens"]],
+        sentence_spans=d["sentence_spans"],
+        entity_spans=[
+            EntitySpan(sp["start"], sp["end"], sys.intern(sp["mention"]), sp["sentence_index"])
+            for sp in d["entity_spans"]
+        ],
     ).validate()
 
 

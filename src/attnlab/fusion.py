@@ -61,10 +61,10 @@ class SpanAssignment:
         self.num_tokens = int(num_tokens)
         for k, (s, e) in enumerate(self.spans):
             if e <= s:
-                raise ValidationError(f"entity {k}: empty token range [{s}, {e})")
+                raise ValidationError(f"spans[{k}] = [{s}, {e}) is empty")
             if not (0 <= s and e <= self.num_tokens):
                 raise ValidationError(
-                    f"entity {k}: range [{s}, {e}) outside [0, {self.num_tokens})"
+                    f"spans[{k}] = [{s}, {e}) leaves [0, num_tokens) = [0, {self.num_tokens})"
                 )
         n = len(self.spans)
         avg = np.zeros((self.num_tokens, n))

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .serialize import read_jsonl, write_csv, write_jsonl
+from .serialize import read_jsonl, record, write_csv, write_jsonl
 
 ROW_SUM_TOL = 1e-6
 MODES = ("colmean", "rawsum")
@@ -120,12 +120,11 @@ def trace_to_json_dict(trace: AttentionTrace) -> dict:
     }
 
 
+TRACE = {"example_id": str, "entity_mask": np.bool_, "layers": np.float64}
+
+
 def trace_from_json_dict(d: dict) -> AttentionTrace:
-    return AttentionTrace(
-        example_id=str(d["example_id"]),
-        layers=np.asarray(d["layers"], dtype=np.float64),
-        entity_mask=np.asarray(d["entity_mask"], dtype=bool),
-    ).validate()
+    return AttentionTrace(**record(d, TRACE)).validate()
 
 
 def save_traces(traces: Iterable[AttentionTrace], path: str | Path) -> None:

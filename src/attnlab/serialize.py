@@ -3,19 +3,30 @@
 - JSON: indent 1, sorted keys (``write_json``). A checkpoint is one such
   document: ``meta`` plus ``arrays``, a flat object mapping parameter
   names to shape plus base64-encoded little-endian float64 payloads.
-- JSONL: one JSON object per line (``write_jsonl``, ``read_jsonl``);
-  ``json_int`` and ``json_str`` refuse a field that is not a JSON integer
-  or string.
+- JSONL: one JSON object per line (``write_jsonl``, ``read_jsonl``).
 - CSV: one header row, then the data rows (``write_csv``).
 
 Every text file ends each line, and the file itself, in ``\\n``.
+
+``record(doc, spec, where)`` reads every record back, typed, against a
+spec of kinds: ``int``, ``str``, ``bool`` (exactly that JSON type, so
+``true`` and ``2.0`` are no integers); ``float`` (a finite number, as a
+float); ``[kind]`` (a list); ``(kind, ...)`` (a list of that many, as a
+tuple); ``{key: kind, ...}`` (an object with exactly those keys);
+``dict`` (any object); ``np.float64`` and ``np.bool_`` (a rectangular
+nested list of numbers or booleans, read by one numpy call, so a bool
+among numbers reads as 0 or 1). A mismatch raises ``ValidationError``
+naming the key path, as in ``entity_spans[0].end must be an integer, got
+2.7``.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import csv
 import json
+import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -37,7 +48,7 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
-    """``parse`` applied to each non-blank line's object; errors name
+    """``parse`` applied to each non-blank line's JSON value; errors name
     ``path:line``, and a file with no records is an error."""
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -46,29 +57,51 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
                 continue
             try:
                 out.append(parse(json.loads(line)))
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise ValidationError(f"{path}: no records")
     return out
 
 
-def json_int(value, name: str) -> int:
-    """``value`` if JSON decoded it from an integer; a bool, float or any
-    other type raises ValueError naming ``name``."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "true or false", dict: "an object",
+               float: "a finite number", np.float64: "a rectangular list of numbers",
+               np.bool_: "a rectangular list of booleans"}
 
 
-def json_str(value, name: str) -> str:
-    """``value`` if JSON decoded it from a string; any other type raises
-    ValueError naming ``name``."""
-    if type(value) is not str:
-        raise ValueError(f"{name} must be a string, got {json.dumps(value)}")
-    return value
+def record(doc, spec, where: str = ""):
+    """``doc`` checked against ``spec`` and returned typed; ``where`` is the
+    key path of ``doc`` itself, empty for a whole record."""
+    kind = type(spec)
+    if spec is float:
+        if type(doc) in (int, float) and abs(doc) <= sys.float_info.max:  # NaN fails too
+            return float(doc)
+    elif spec in (np.float64, np.bool_):
+        if type(doc) is list:
+            with contextlib.suppress(ValueError):  # a ragged list
+                a = np.array(doc)
+                if a.dtype.kind in ("b" if spec is np.bool_ else "iuf"):
+                    return a.astype(spec, copy=False)
+    elif kind is type:
+        if type(doc) is spec:
+            return doc
+    elif kind is list:
+        if type(doc) is list:
+            return [record(v, spec[0], f"{where}[{i}]") for i, v in enumerate(doc)]
+    elif kind is tuple:
+        if type(doc) is list and len(doc) == len(spec):
+            return tuple(record(v, k, f"{where}[{i}]") for i, (v, k) in enumerate(zip(doc, spec)))
+    elif type(doc) is dict:
+        at = f"{where}." if where else ""
+        for key in [*spec, *doc]:
+            if (key in spec) != (key in doc):
+                raise ValidationError(f"{at}{key} is {'missing' if key in spec else 'unknown'}")
+        return {key: record(doc[key], k, at + key) for key, k in spec.items()}
+    want = (_KIND_NAMES[spec] if kind is type else "a list" if kind is list
+            else f"a list of {len(spec)} values" if kind is tuple else "an object")
+    shown = json.dumps(doc)
+    shown = shown if len(shown) <= 40 else shown[:37] + "..."
+    raise ValidationError(f"{where or 'the record'} must be {want}, got {shown}")
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -88,12 +121,20 @@ def encode_array(a: np.ndarray) -> dict:
     }
 
 
-def decode_array(d: dict) -> np.ndarray:
-    if d.get("dtype") != "<f8":
-        raise ValidationError(f"unsupported dtype {d.get('dtype')!r}")
-    raw = base64.b64decode(d["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return a.reshape([int(s) for s in d["shape"]])
+ARRAY = {"shape": [int], "dtype": str, "data": str}
+_MANIFEST = {"meta": dict, "arrays": dict}
+
+
+def decode_array(d: dict, where: str = "array") -> np.ndarray:
+    """The array ``encode_array`` wrote as ``d``, whose key path is ``where``."""
+    d = record(d, ARRAY, where)
+    if d["dtype"] != "<f8":
+        raise ValidationError(f"{where}.dtype must be \"<f8\", got {json.dumps(d['dtype'])}")
+    with contextlib.suppress(ValueError):  # not base64, or a size the shape does not take
+        if min(d["shape"], default=0) >= 0:
+            raw = base64.b64decode(d["data"], validate=True)
+            return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"])
+    raise ValidationError(f"{where}.data does not hold a float64 array of shape {d['shape']}")
 
 
 def save_manifest(arrays: dict[str, np.ndarray], path: str | Path, meta: dict | None = None) -> None:
@@ -102,7 +143,8 @@ def save_manifest(arrays: dict[str, np.ndarray], path: str | Path, meta: dict | 
 
 
 def load_manifest(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and the meta object of a ``save_manifest`` file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    arrays = {k: decode_array(v) for k, v in doc["arrays"].items()}
-    return arrays, doc.get("meta", {})
+        doc = record(json.load(fh), _MANIFEST)
+    arrays = {k: decode_array(v, f"arrays[{k!r}]") for k, v in doc["arrays"].items()}
+    return arrays, doc["meta"]

@@ -34,7 +34,7 @@ from pathlib import Path
 from .entity_graph import ContextExample, EntitySpan
 from .errors import GenerationError
 from .numerics import SeededRng
-from .serialize import json_int, json_str, read_jsonl, write_jsonl
+from .serialize import read_jsonl, record, write_jsonl
 
 SPAN_TOKENS = 2  # every mention is two tokens ("given" + "family" part)
 FILLERS_PER_SENTENCE = 2
@@ -61,13 +61,14 @@ class SyntheticTaskConfig:
             if getattr(self, name) < 1:
                 raise GenerationError(f"{name} must be >= 1")
         if self.sentences_per_context < 2:
-            raise GenerationError("need a question sentence plus at least one context sentence")
+            raise GenerationError("sentences_per_context must be >= 2: question plus context")
         if not 0.0 <= self.mention_collision_rate <= 1.0:
             raise GenerationError("mention_collision_rate must lie in [0, 1]")
         if not 0.0 <= self.sentence_merge_rate <= 1.0:
             raise GenerationError("sentence_merge_rate must lie in [0, 1]")
-        if self.distractor_count < 0:
-            raise GenerationError("distractor_count must be >= 0")
+        for name in ("distractor_count", "seed"):
+            if getattr(self, name) < 0:
+                raise GenerationError(f"{name} must be >= 0")
         capacity = (self.sentences_per_context - 2) * self.entities_per_sentence
         if self.distractor_count > capacity:
             raise GenerationError(
@@ -233,15 +234,22 @@ def write_labels_jsonl(examples, labels, path: str | Path) -> None:
     write_jsonl(rows, path)
 
 
-def load_labels_jsonl(path: str | Path) -> dict[str, int]:
-    """Read ``{"id", "answer_node"}`` JSONL lines; errors name the line."""
+LABEL = {"id": str, "answer_node": int}
+
+
+def load_labels_jsonl(path: str | Path, num_nodes: dict | None = None) -> dict[str, int]:
+    """Read ``LABEL`` lines; errors name the line. ``num_nodes`` maps example
+    ids to node counts, and such an id's answer_node must index one of them."""
     labels: dict[str, int] = {}
 
     def parse(row: dict) -> None:
-        key = json_str(row["id"], "id")
+        row = record(row, LABEL)
+        key, node = row["id"], row["answer_node"]
         if key in labels:
             raise ValueError(f"id {key!r} is labelled twice")
-        labels[key] = json_int(row["answer_node"], "answer_node")
+        if num_nodes and key in num_nodes and not 0 <= node < num_nodes[key]:
+            raise ValueError(f"answer_node {node} of id {key!r} is not in [0, {num_nodes[key]})")
+        labels[key] = node
 
     read_jsonl(path, parse)
     return labels

@@ -47,7 +47,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -58,7 +58,7 @@ from .attention import (
     transformer_batch_backward,
     transformer_batch_forward,
 )
-from .config import build_dataclass
+from .config import fields_spec
 from .entity_graph import ContextExample, build_graph, density, quantile_partition
 from .errors import NumericError, TrainingError, ValidationError
 from .fusion import (
@@ -71,7 +71,7 @@ from .fusion import (
 )
 from .head_probe import AttentionTrace
 from .numerics import SeededRng
-from .serialize import json_int, json_str, load_manifest, save_manifest, write_csv
+from .serialize import load_manifest, record, save_manifest, write_csv
 
 VARIANTS = ("graph_attention", "self_attention", "transformer", "none")
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -132,6 +132,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name in ("hops", "hidden_dim", "epochs", "batch_size", "num_heads"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -144,6 +146,11 @@ class ExperimentConfig:
         if not 0.0 < self.leaky_slope < 1.0:
             raise ValidationError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope!r}")
         return self
+
+
+# a checkpoint's meta object, as ``TrainedModel.save`` writes it
+CHECKPOINT_META = {"format": int, "config": fields_spec(ExperimentConfig), "vocab": [str],
+                   "spans": [(int, int)], "num_tokens": int}
 
 
 @dataclass
@@ -475,28 +482,19 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        """Rebuild a saved model; a checkpoint that does not fit, whose meta
-        holds a span bound, token count or vocab entry of the wrong JSON type,
-        whose spans leave its token range, or whose arrays hold NaN or inf,
-        raises ``ValidationError`` naming the file and the first mismatch."""
+        """Rebuild a saved model; a checkpoint whose meta does not match
+        ``CHECKPOINT_META``, whose config or spans are out of range, or whose
+        arrays do not fit that config or hold NaN or inf, raises
+        ``ValidationError`` naming the file and the first mismatch."""
         try:
             arrays, meta = load_manifest(path)
-            cfg = _checkpoint_config(meta)
-            model = cls(
-                cfg=cfg,
-                params=arrays,
-                vocab=[json_str(t, f"vocab[{i}]") for i, t in enumerate(meta["vocab"])],
-                assignment=SpanAssignment(
-                    [
-                        (json_int(s, f"spans[{k}][0]"), json_int(e, f"spans[{k}][1]"))
-                        for k, (s, e) in enumerate(meta["spans"])
-                    ],
-                    json_int(meta["num_tokens"], "num_tokens"),
-                ),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{path}: checkpoint meta lacks {exc}") from exc
-        except (TypeError, ValueError) as exc:
+            meta = record(meta, CHECKPOINT_META, "meta")
+            if meta["format"] != CHECKPOINT_FORMAT:
+                raise ValidationError(f"meta.format {meta['format']} is not {CHECKPOINT_FORMAT}")
+            cfg = ExperimentConfig(**meta["config"]).validate()
+            assignment = SpanAssignment(meta["spans"], meta["num_tokens"])
+            model = cls(cfg, arrays, meta["vocab"], assignment)
+        except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
         expected = param_shapes(cfg, len(model.vocab), model.assignment.num_tokens)
         for name in sorted(set(expected) | set(arrays)):
@@ -512,16 +510,6 @@ class TrainedModel:
             if not np.isfinite(arrays[name]).all():
                 raise ValidationError(f"{path}: array {name!r} holds NaN or inf")
         return model
-
-
-def _checkpoint_config(meta: dict) -> ExperimentConfig:
-    if meta["format"] != CHECKPOINT_FORMAT:
-        raise ValidationError(f"unsupported checkpoint format {meta['format']!r}")
-    values = meta["config"]
-    unknown = sorted(set(values) - {f.name for f in fields(ExperimentConfig)})
-    if unknown:
-        raise ValidationError(f"unknown config key(s) {', '.join(unknown)}")
-    return build_dataclass(ExperimentConfig, values).validate()
 
 
 @dataclass

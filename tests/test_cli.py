@@ -404,7 +404,7 @@ def test_mismatched_checkpoint_is_rejected(tmp_path, capsys):
         (lambda d: d["arrays"].pop("tf.0.wq"), "'tf.0.wq'"),
         (lambda d: d["meta"]["config"].update(variant="graph_attention"), "'fusion.0.attn_vec'"),
         (lambda d: d["meta"]["config"].update(hidden_dims=8), "hidden_dims"),
-        (lambda d: d["meta"].pop("vocab"), "'vocab'"),
+        (lambda d: d["meta"].pop("vocab"), "meta.vocab is missing"),
     ):
         broken = json.loads(ckpt.read_text())
         edit(broken)

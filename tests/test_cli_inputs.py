@@ -6,6 +6,16 @@ record mutated, plus the expected exit code and a substring of stderr
 that names the flag, the key or the ``file:line``. Every case also
 checks that stderr holds no traceback and that an exit 2 leaves no
 ``--out`` directory behind.
+
+Two more tables are generated. ``RECORD_ROWS`` mutates every key path of
+every record spec (the dataset line, the label line, the trace and the
+checkpoint) in the first record of a valid file: the key dropped, a value
+of another JSON type, ``null`` and, for numbers, NaN, ±inf, 0 and -1; each
+file is also truncated and emptied. ``CONFIG_ROWS`` sets every config
+field through ``--set`` and through a ``--config`` file to values of
+another type and, for numbers, to 0 and -1. A row exits 0 only where its
+table marks it valid, and an exit 2 names the file (``:1`` for JSONL) or
+the ``--set`` and the key path.
 """
 
 import json
@@ -16,8 +26,13 @@ import pytest
 
 from attnlab.checks import degeneracy_suite, run_gradcheck_suite
 from attnlab.cli import main
+from attnlab.config import fields_spec
 from attnlab.errors import ValidationError
-from attnlab.serialize import decode_array, encode_array
+from attnlab.entity_graph import EXAMPLE
+from attnlab.head_probe import TRACE
+from attnlab.serialize import ARRAY, decode_array, encode_array
+from attnlab.synth import LABEL, SyntheticTaskConfig
+from attnlab.train import CHECKPOINT_META, ExperimentConfig
 
 L = 6
 TRAIN_ON = ["train", "--set", "hidden_dim=8", "--set", "epochs=1", "--test-count", "10"]
@@ -125,6 +140,16 @@ def _append_two_tokens(rows, labels):
         row["tokens"] += row["tokens"][-2:]
 
 
+def _no_entity_spans(rows, labels):
+    rows[0]["entity_spans"] = []
+
+
+def _config_file(tmp_path, text) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
 def _checkpoint_with(variant, edit):
     """argv of eval-density on 40 generated examples with a ``variant`` model
     that TRAIN made, its checkpoint JSON passed through ``edit``."""
@@ -152,6 +177,15 @@ def _set_array_entry(name, value):
         array = decode_array(doc["arrays"][name])
         array.flat[0] = value
         doc["arrays"][name] = encode_array(array)
+
+    return edit
+
+
+def _set_array_field(name, key, value):
+    """Checkpoint edit: array ``name``'s entry holds ``value`` at ``key``."""
+
+    def edit(doc):
+        doc["arrays"][name][key] = value
 
     return edit
 
@@ -246,7 +280,7 @@ CASES = {
         "data.jsonl:1: entity_spans[0].start must be an integer, got false"),
     "build-graph tokens as one string": (
         _on_dataset("build-graph", _tokens_as_string), 2,
-        "data.jsonl:1: tokens must be a list of strings"),
+        "data.jsonl:1: tokens must be a list, got"),
     "train float answer_node": (
         _on_dataset("train", _set_label("answer_node", 2.6)), 2,
         "labels.jsonl:1: answer_node must be an integer, got 2.6"),
@@ -270,19 +304,35 @@ CASES = {
         "model_graph_attention_seed7.json: array 'scorer' holds NaN or inf"),
     "eval-density checkpoint span past its tokens": (
         _checkpoint_with("graph_attention", _last_span_past_the_tokens), 2,
-        "model_graph_attention_seed7.json: entity 8: range [28, 30) outside [0, 28)"),
+        "model_graph_attention_seed7.json: spans[8] = [28, 30) leaves [0, num_tokens) = [0, 28)"),
     "eval-density checkpoint float span end": (
         _checkpoint_with("graph_attention", _set_meta("spans", 0, 1, value=2.9)), 2,
-        "model_graph_attention_seed7.json: spans[0][1] must be an integer, got 2.9"),
+        "model_graph_attention_seed7.json: meta.spans[0][1] must be an integer, got 2.9"),
     "eval-density checkpoint bool num_tokens": (
         _checkpoint_with("graph_attention", _set_meta("num_tokens", value=True)), 2,
-        "model_graph_attention_seed7.json: num_tokens must be an integer, got true"),
+        "model_graph_attention_seed7.json: meta.num_tokens must be an integer, got true"),
     "eval-density checkpoint null vocab entry": (
         _checkpoint_with("transformer", _set_meta("vocab", 0, value=None)), 2,
-        "model_transformer_seed7.json: vocab[0] must be a string, got null"),
+        "model_transformer_seed7.json: meta.vocab[0] must be a string, got null"),
+    "eval-density checkpoint data not base64": (
+        _checkpoint_with("graph_attention", _set_array_field("scorer", "data", "not base64!")),
+        2, "model_graph_attention_seed7.json: arrays['scorer'].data does not hold a float64 array"),
+    "eval-density checkpoint data of another size": (
+        _checkpoint_with("graph_attention", _set_array_field("scorer", "data", "")), 2,
+        "model_graph_attention_seed7.json: arrays['scorer'].data does not hold a float64 array"),
     "eval-density checkpoint without a format": (
         _checkpoint_with("graph_attention", lambda doc: doc["meta"].pop("format")), 2,
-        "model_graph_attention_seed7.json: checkpoint meta lacks 'format'"),
+        "model_graph_attention_seed7.json: meta.format is missing"),
+    **{
+        f"{command} context with no entity spans": (
+            _on_dataset(command, _no_entity_spans), 2,
+            "data.jsonl:1: example s11-ex00000: entity_spans is empty")
+        for command in ("build-graph", "density-report")
+    },
+    "train test-count 0": (lambda tmp: [*TRAIN, "--test-count", "0"], 2, "--test-count 0"),
+    "train config file sets a key twice": (
+        lambda tmp: [*TRAIN_ON, "--config", _config_file(tmp, "epochs = 1\nepochs = 2\n")], 2,
+        "run.cfg:2: epochs is set on an earlier line"),
     **{
         f"eval-density two more tokens than the {variant} model": (
             _on_dataset("eval-density", _append_two_tokens, variant), 2,
@@ -337,3 +387,267 @@ def test_equivalence_report_counts_the_loop_cases_that_ran(tmp_path):
 def test_suites_refuse_to_check_nothing(suite, kwargs):
     with pytest.raises(ValidationError):
         suite(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# rows generated from the record specs
+# ---------------------------------------------------------------------------
+
+DROP = object()  # the mutation that removes a key
+NUMBERS = (math.nan, math.inf, -math.inf, 0, -1)
+# ``{str: kind}``: an object whose every entry is a ``kind``, as each of a
+# checkpoint's arrays is an ``ARRAY`` record
+CHECKPOINT = {"meta": CHECKPOINT_META, "arrays": {str: ARRAY}}
+SPECS = {"dataset": EXAMPLE, "labels": LABEL, "trace": TRACE, "checkpoint": CHECKPOINT}
+FILES = {"dataset": "data.jsonl", "labels": "labels.jsonl", "trace": "traces.jsonl",
+         "checkpoint": "model.json"}
+
+
+def _key_paths(spec, path=(), name=""):
+    """``(path, name, kind)`` of every value a ``spec`` reaches:
+    a list is entered at its first element, a ``{str: kind}`` mapping at
+    its ``'scorer'`` entry. ``name`` spells the path as the readers do."""
+    yield path, name, spec
+    if isinstance(spec, list):
+        yield from _key_paths(spec[0], (*path, 0), f"{name}[0]")
+    elif isinstance(spec, tuple):
+        for i, kind in enumerate(spec):
+            yield from _key_paths(kind, (*path, i), f"{name}[{i}]")
+    elif isinstance(spec, dict) and str in spec:
+        yield from _key_paths(spec[str], (*path, "scorer"), f"{name}['scorer']")
+    elif isinstance(spec, dict):
+        for key, kind in spec.items():
+            yield from _key_paths(kind, (*path, key), f"{name}.{key}" if name else key)
+
+
+def _as_strings(value):
+    if isinstance(value, list):
+        return [_as_strings(v) for v in value]
+    return {True: "x", False: ""}[value] if type(value) is bool else str(value)
+
+
+def _one_short(value):
+    return value[:-1]
+
+
+def _wrong_types(kind) -> list:
+    """Values of the wrong JSON type for ``kind``; a callable maps the
+    value in place to its mutation."""
+    if kind is int:
+        return ["7", 2.0, True]
+    if kind is float:
+        return ["0.5", True]
+    if kind is str:
+        return [7]
+    if kind is bool:
+        return [1, "true"]
+    if kind in (np.float64, np.bool_):
+        return ["x", _as_strings]
+    if isinstance(kind, tuple):
+        return ["x", _one_short]
+    if isinstance(kind, list):
+        return ["x", {}]
+    return ["x", []]  # an object
+
+
+def _label(value) -> str:
+    if value is DROP:
+        return "dropped"
+    if callable(value):
+        return value.__name__.strip("_")
+    return json.dumps(value)
+
+
+def _mutations(kind, in_object: bool) -> list:
+    values = [DROP] if in_object else []
+    values += [None, *_wrong_types(kind)]
+    if kind in (int, float):
+        values += NUMBERS
+    return values
+
+
+def _record_rows() -> dict:
+    """``{"<source> <key path>": {row: (source, path, name, value)}}`` over
+    every key path of every spec, plus each file truncated and empty."""
+    rows = {}
+    for source, spec in SPECS.items():
+        for path, name, kind in _key_paths(spec):
+            name = name or "the record"
+            in_object = bool(path) and isinstance(path[-1], str) and path[-1] != "scorer"
+            rows[f"{source} {name}"] = {
+                f"{source} {name} {_label(value)}": (source, path, name, value)
+                for value in _mutations(kind, in_object)
+            }
+        rows[f"{source} file"] = {f"{source} {cut}": (source, cut, "", None)
+                                  for cut in ("truncated", "empty")}
+    return rows
+
+
+RECORD_ROWS = _record_rows()
+# rows that exit 0: the mutation leaves a value that is already there or in range
+RECORD_VALID = {
+    "dataset sentence_spans[0][0] 0",
+    "dataset entity_spans[0].start 0",
+    "dataset entity_spans[0].sentence_index 0",
+    "labels answer_node 0",
+    "checkpoint meta.config.seed 0",
+    "checkpoint meta.spans[0][0] 0",
+}
+# rows whose semantic check names the enclosing span, shape or config field
+RECORD_NEEDLES = {
+    "dataset sentence_spans[0][0] -1": "sentence_spans[0]",
+    "dataset sentence_spans[0][1] 0": "sentence_spans[0]",
+    "dataset sentence_spans[0][1] -1": "sentence_spans[0]",
+    **{f"dataset entity_spans[0].{key} {v}": "entity_spans[0]"
+       for key, v in (("start", -1), ("end", 0), ("end", -1))},
+    "checkpoint meta.spans[0][0] -1": "spans[0]",
+    "checkpoint meta.spans[0][1] 0": "spans[0]",
+    "checkpoint meta.spans[0][1] -1": "spans[0]",
+    **{f"checkpoint meta.num_tokens {v}": "num_tokens" for v in (0, -1)},
+    **{f"checkpoint arrays['scorer'].shape[0] {v}": "arrays['scorer'].data" for v in (0, -1)},
+    **{f"checkpoint meta.config.{key} {v}": key
+       for key, kind in CHECKPOINT_META["config"].items() if kind in (int, float)
+       for v in (0, -1)},
+}
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """12 generated examples, their labels, a graph_attention checkpoint
+    trained on them, and one trace, each as its parsed JSON."""
+    root = tmp_path_factory.mktemp("base")
+    assert main(["gen-synthetic", "--set", "num_examples=12", "--out", str(root)]) == 0
+    files = {"dataset": root / "dataset_seed11.jsonl", "labels": root / "labels_seed11.jsonl",
+             "checkpoint": root / "model_graph_attention_seed7.json",
+             "trace": root / "traces.jsonl"}
+    assert main(["train", "--dataset", str(files["dataset"]), "--labels", str(files["labels"]),
+                 "--set", "hidden_dim=8", "--set", "epochs=1", "--test-count", "4",
+                 "--out", str(root)]) == 0
+    _traces(root, lambda d: None)
+    docs = {source: [json.loads(line) for line in path.read_text().splitlines()]
+            for source, path in files.items() if source != "checkpoint"}
+    docs["checkpoint"] = json.loads(files["checkpoint"].read_text())
+    return files, docs
+
+
+def _argv(source, files) -> list[str]:
+    if source == "dataset":
+        return ["build-graph", "--input", str(files["dataset"])]
+    if source == "trace":
+        return ["probe-heads", "--traces", str(files["trace"])]
+    return ["eval-density", "--model", str(files["checkpoint"]),
+            "--dataset", str(files["dataset"]), "--labels", str(files["labels"])]
+
+
+def _write_mutated(source, path, value, docs, target):
+    """``target`` holds ``docs[source]`` with the value at ``path`` of its
+    first record replaced by ``value``, or the whole file truncated or empty."""
+    jsonl = source != "checkpoint"
+    doc = json.loads(json.dumps(docs[source][0] if jsonl else docs[source]))
+    if path == "empty":
+        target.write_text("")
+        return
+    if path != "truncated":
+        if not path:
+            doc = value
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+    text = json.dumps(doc)
+    if path == "truncated":
+        text = text[: len(text) // 2]
+    rest = [json.dumps(d) for d in docs[source][1:]] if jsonl else []
+    target.write_text("\n".join([text, *rest]) + "\n")
+
+
+@pytest.mark.parametrize("key_path", list(RECORD_ROWS))
+def test_mutated_record_exits_as_tabled(tmp_path, capsys, base, key_path):
+    """Every row of one key path, run in turn: an item per key path rather
+    than per row keeps the table's pytest overhead to a fraction of a second."""
+    files, docs = base
+    for i, (row, (source, path, name, value)) in enumerate(RECORD_ROWS[key_path].items()):
+        target = tmp_path / f"{i}_{FILES[source]}"
+        _write_mutated(source, path, value, docs, target)
+        out = tmp_path / f"{i}_out"
+        code = main([*_argv(source, {**files, source: target}), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, row
+        if row in RECORD_VALID:
+            assert code == 0, (row, err)
+            continue
+        assert code == 2, (row, err)
+        jsonl = source != "checkpoint" and path != "empty"
+        assert (f"{target}:1: " if jsonl else f"{target}: ") in err, (row, err)
+        assert RECORD_NEEDLES.get(row, name) in err, (row, err)
+        assert not out.exists(), row
+
+
+# ---------------------------------------------------------------------------
+# config values from a --config file and from --set, generated from the
+# config dataclasses' fields
+# ---------------------------------------------------------------------------
+
+CONFIG_BASE = {ExperimentConfig: {"hidden_dim": "8", "epochs": "1"},
+               SyntheticTaskConfig: {"num_examples": "12"}}
+# per kind, values of another type, which name their source, and values of
+# the kind that are out of range, which name their key
+CONFIG_TEXTS = {int: (["abc", "2.0", "true", "null", "nan", "inf", "-inf"], ["0", "-1"]),
+                float: (["abc", "true", "null", "nan", "inf", "-inf"], ["0", "-1"]),
+                str: (["7"], ["null"]), bool: (["1", "abc", "null"], [])}
+CONFIG_ROWS = {
+    f"{source} {key}": {
+        f"{source} {key}={text}": (text, text in typed) for text in mistyped + typed
+    }
+    for cls in CONFIG_BASE
+    for key, kind in fields_spec(cls).items()
+    for mistyped, typed in [CONFIG_TEXTS[kind]]
+    for source in ("--set", "--config")
+}
+CONFIG_CLASS = {key: cls for cls in CONFIG_BASE for key in fields_spec(cls)}
+# rows that exit 0: the value is in range
+CONFIG_VALID = {
+    f"{source} {key}=0" for source in ("--set", "--config")
+    for key in ("seed", "distractor_count", "mention_collision_rate", "sentence_merge_rate")
+}
+
+
+@pytest.mark.parametrize("source_key", list(CONFIG_ROWS))
+def test_mistyped_config_value_exits_as_tabled(tmp_path, capsys, base, source_key):
+    """Every row of one source and key, run in turn; an ExperimentConfig key
+    trains on the base dataset, a SyntheticTaskConfig key generates one."""
+    files, _ = base
+    source, key = source_key.split()
+    cls = CONFIG_CLASS[key]
+    values = {k: v for k, v in CONFIG_BASE[cls].items() if k != key}
+    for i, (row, (text, typed)) in enumerate(CONFIG_ROWS[source_key].items()):
+        if cls is ExperimentConfig:
+            argv = ["train", "--dataset", str(files["dataset"]),
+                    "--labels", str(files["labels"]), "--test-count", "4"]
+        else:
+            argv = ["gen-synthetic"]
+        if source == "--set":
+            where = f"--set {key}={text}"
+            argv += [arg for k, v in values.items() for arg in ("--set", f"{k}={v}")]
+            argv += ["--set", f"{key}={text}"]
+        else:
+            path = tmp_path / f"{i}.cfg"
+            where = f"{path}:{len(values) + 1}"
+            lines = [f"{k} = {v}" for k, v in values.items()] + [f"{key} = {text}"]
+            path.write_text("\n".join(lines) + "\n")
+            argv += ["--config", str(path)]
+        out = tmp_path / f"{i}_out"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, row
+        if row in CONFIG_VALID:
+            assert code == 0, (row, err)
+            continue
+        assert code == 2, (row, err)
+        # a value of another type names its source, one out of range its key
+        assert (key if typed else f"{where}: {key}") in err, (row, err)
+        assert not out.exists(), row

@@ -68,7 +68,7 @@ def test_single_entity_graph():
 
 
 def test_invalid_span_names_offender():
-    with pytest.raises(ValidationError, match="entity span 0"):
+    with pytest.raises(ValidationError, match=r"entity_spans\[0\]"):
         make_example([["a", "b"]], [(0, 0, 0, "a")])
 
 
@@ -219,7 +219,7 @@ def test_jsonl_roundtrip_and_line_errors(tmp_path):
     with open(bad, "w") as fh:
         fh.write(json.dumps(examples[0].to_json_dict()) + "\n")
         fh.write(json.dumps(lacking) + "\n")
-    with pytest.raises(ValidationError, match=":2: missing key 'tokens'"):
+    with pytest.raises(ValidationError, match=":2: tokens is missing"):
         load_context_examples(bad)
 
 

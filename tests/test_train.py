@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import platform
 import resource
@@ -180,10 +181,21 @@ def test_degeneracy_step_identity_between_variants():
     data = small_data(n=60, n_test=20)
     cfg_self = small_cfg("self_attention", epochs=2)
     cfg_forced = small_cfg("graph_attention", epochs=2, force_fully_connected=True)
-    _, rep_self = train(cfg_self, data)
+    model_self, rep_self = train(cfg_self, data)
     _, rep_forced = train(cfg_forced, data)
     assert rep_self.loss_curve == rep_forced.loss_curve
     assert rep_self.accuracy == rep_forced.accuracy
+
+    # the masked path with an all-ones adjacency, trained step for step, is
+    # self_attention's unmasked path bit for bit; the real adjacency is not
+    cfg_graph = small_cfg("graph_attention", epochs=2)
+    ones = dataclasses.replace(data, adjacency=np.ones_like(data.adjacency))
+    model_ones, rep_ones = train(cfg_graph, ones)
+    assert rep_ones.loss_curve == rep_self.loss_curve
+    assert model_ones.params.keys() == model_self.params.keys()
+    for name, value in model_self.params.items():
+        np.testing.assert_array_equal(model_ones.params[name], value, err_msg=name)
+    assert train(cfg_graph, data)[1].loss_curve != rep_self.loss_curve
 
 
 def test_training_is_deterministic():
