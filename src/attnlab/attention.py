@@ -1,15 +1,16 @@
 """Graph attention, masked by an adjacency or not at all, and a small
 transformer encoder, all with analytic forward/backward passes.
 
-The graph-attention layer projects incoming node states, scores every
-ordered neighbor pair with an additive attention vector through a
-LeakyReLU, normalizes scores per node over its neighborhood only (masked
-softmax with exact zeros outside the adjacency), and aggregates projected
-neighbor states through a ReLU. Self-attention is the same layer with
-``adjacency=None``: the softmax then runs with no mask and every node
-attends to every node. An all-ones adjacency masks nothing, so it gives
-the same bits by another code path; ``checks.degeneracy_suite`` checks
-that it does.
+Both layers run one attention core, ``_attend`` and ``_attend_backward``:
+a softmax of scores over the keys a mask keeps (exact zeros elsewhere),
+then the weighted sum of values. They differ in the scores and the mask.
+Graph attention scores each ordered pair of projected node states g with
+``LeakyReLU(a_src . g_i + a_dst . g_j)``, masks by an adjacency, sums g
+and applies a ReLU; self-attention is that layer with ``adjacency=None``,
+no mask. The transformer scores query-key dot products scaled by
+1/sqrt(head width), per head, and never masks. An all-ones adjacency
+masks nothing, so it gives the same bits as ``adjacency=None`` by another
+code path; ``checks.degeneracy_suite`` checks that it does.
 
 The transformer is post-norm (layer norm after each residual add) and
 attends over every token: batches share one token layout, so there is
@@ -76,6 +77,20 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     np.exp(out, out=out)  # exp(-inf) is an exact 0.0
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
+
+
+def _attend(scores: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None):
+    """``(alpha, alpha @ values)``, alpha the softmax of scores over the keys in mask."""
+    alpha = masked_softmax(scores, mask)
+    return alpha, alpha @ values
+
+
+def _attend_backward(alpha: np.ndarray, values: np.ndarray, d_out: np.ndarray):
+    """``(d_scores, d_values)`` of ``_attend``; d_scores is 0.0 wherever alpha is."""
+    d_alpha = d_out @ values.swapaxes(-1, -2)
+    d_values = alpha.swapaxes(-1, -2) @ d_out
+    rho = np.sum(alpha * d_alpha, axis=-1, keepdims=True)
+    return alpha * (d_alpha - rho), d_values
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +164,7 @@ def graph_attention_batch_forward(
     src = g @ a_src  # (B, N)
     dst = g @ a_dst  # (B, N)
     pre = src[:, :, None] + dst[:, None, :]  # (B, N, N)
-    beta = leaky_relu(pre, leaky_slope)
-    alpha = masked_softmax(beta, mask)
-    agg = alpha @ g  # (B, N, d_out)
+    alpha, agg = _attend(leaky_relu(pre, leaky_slope), g, mask)  # agg: (B, N, d_out)
     out = relu(agg)
     cache = GraphAttentionCache(
         H=H, g=g, pre=pre, alpha=alpha, agg=agg,
@@ -173,12 +186,7 @@ def graph_attention_batch_backward(
     a_dst = cache.attn_vec[dW:]
 
     d_agg = d_out_states * relu_grad_mask(cache.agg)
-    d_alpha = d_agg @ cache.g.transpose(0, 2, 1)
-    dg = cache.alpha.transpose(0, 2, 1) @ d_agg
-
-    # masked softmax backward; rows of alpha are zero off-mask, so d_beta is too
-    rho = np.sum(cache.alpha * d_alpha, axis=-1, keepdims=True)
-    d_beta = cache.alpha * (d_alpha - rho)
+    d_beta, dg = _attend_backward(cache.alpha, cache.g, d_agg)
     d_pre = d_beta * leaky_relu_grad(cache.pre, cache.leaky_slope)
 
     d_src = d_pre.sum(axis=-1)  # (B, N)
@@ -315,8 +323,7 @@ def _mha_forward(x, lp: dict, num_heads, rows=None):
     k = _split_heads(_flat_mm(x, lp["wk"]), num_heads)
     v = _split_heads(_flat_mm(x, lp["wv"]), num_heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    alpha = masked_softmax(scores)
-    ctx = alpha @ v
+    alpha, ctx = _attend(scores, v)
     merged = _merge_heads(ctx)
     out = _flat_mm(merged, lp["wo"])
     return out, alpha, (xq, x, rows, q, k, v, alpha, merged, scale)
@@ -327,10 +334,7 @@ def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
     d_wo = _outer_grad(merged, d_out)
     d_merged = _flat_mm(d_out, lp["wo"].T)
     d_ctx = _split_heads(d_merged, num_heads)
-    d_alpha = d_ctx @ v.transpose(0, 1, 3, 2)
-    dv = alpha.transpose(0, 1, 3, 2) @ d_ctx
-    rho = np.sum(alpha * d_alpha, axis=-1, keepdims=True)
-    d_scores = alpha * (d_alpha - rho)
+    d_scores, dv = _attend_backward(alpha, v, d_ctx)
     dq = (d_scores @ k) * scale
     dk = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
     dqm, dkm, dvm = (_merge_heads(a) for a in (dq, dk, dv))

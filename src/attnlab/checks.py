@@ -3,16 +3,25 @@ mask against no mask) and finite-difference gradient checks for every
 analytic backward pass.
 
 These back the ``equivalence-check`` and ``gradcheck`` CLI subcommands
-and the acceptance tests. Gradient checks compare packed analytic
-gradients against ``finite_diff_grad`` with a norm-based relative error;
-instances are resampled until every activation preimage sits safely away
-from its kink so central differences stay clean.
+and the acceptance tests.
 
-Each case packs its input and the layer's weights into one vector: the
-weights are the same name -> array dicts the layers take (``proj``,
-``attn_vec`` and ``mix`` for a hop; a transformer layer's twelve arrays
-in sorted-name order), and the loss closure slices the vector back into
-those dicts.
+Every gradient check is one driver, ``_gradcheck``, run on a sampler. A
+sampler draws an instance from the RNG it is given and returns
+``(arrays, weights, forward, backward, clear)``, or None to draw again:
+
+- ``arrays``: the layer's input and weights, each an array checked;
+- ``weights``: the cotangent, so the checked loss is ``sum(weights * out)``;
+- ``forward(*arrays)``: the forward pass under test, whose result starts
+  with the output and ends with the cache, as the layers' own do;
+- ``backward(cache, weights)``: the analytic gradient of each array, in
+  the order of ``arrays``;
+- ``clear(cache)``: True when every activation preimage (and every
+  max-pool runner-up) sits at least ``KINK_GUARD`` from its kink, so
+  central differences stay clean.
+
+The driver redraws until an instance is clear, takes central differences
+of the loss one array at a time with the others held fixed, and returns
+the norm-based relative error over all the arrays' gradients together.
 """
 
 from __future__ import annotations
@@ -55,25 +64,6 @@ def _random_adjacency(rng: SeededRng, n: int) -> np.ndarray:
     adj = np.maximum(adj, adj.T)
     np.fill_diagonal(adj, 1.0)
     return adj
-
-
-def _pack(arrays) -> np.ndarray:
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
-def _layout(templates) -> list[tuple[int, int, tuple]]:
-    """(start, stop, shape) of each template's slice of the packed vector;
-    computed once per case so a loss call only slices and reshapes."""
-    layout = []
-    pos = 0
-    for t in templates:
-        layout.append((pos, pos + t.size, t.shape))
-        pos += t.size
-    return layout
-
-
-def _unpack(vec: np.ndarray, layout):
-    return [vec[start:stop].reshape(shape) for start, stop, shape in layout]
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +119,36 @@ def degeneracy_suite(instances: int = 1000, seed: int = 2024, loop_instances: in
 # ---------------------------------------------------------------------------
 
 
-def _check_case(build: Callable[[SeededRng], tuple], rng: SeededRng) -> float:
-    """build(rng) -> (templates, loss_and_grad, loss_only) or None to resample."""
-    for attempt in range(MAX_RESAMPLE):
-        case = build(rng.split(attempt))
-        if case is None:
-            continue
-        theta0, analytic, loss_fn = case
-        fd = finite_diff_grad(loss_fn, theta0, FD_EPS)
-        return relative_error(analytic, fd)
-    raise NumericError("could not sample an instance clear of activation kinks")
+def _gradcheck(instances: int, seed: int, sample: Callable[[SeededRng], tuple | None]) -> float:
+    """Max relative error of ``sample``'s analytic gradients over
+    ``instances`` cases, each the first clear draw of its own stream."""
+    rng = SeededRng(seed)
+    worst = 0.0
+    for case in range(instances):
+        case_rng = rng.split(case)
+        for attempt in range(MAX_RESAMPLE):
+            drawn = sample(case_rng.split(attempt))
+            if drawn is None:
+                continue
+            arrays, weights, forward, backward, clear = drawn
+            cache = forward(*arrays)[-1]
+            if clear(cache):
+                break
+        else:
+            raise NumericError("could not sample an instance clear of activation kinks")
+        analytic = backward(cache, weights)
+        args = list(arrays)
+        numeric = []
+        for i, a in enumerate(arrays):
+            def loss(x: np.ndarray, i: int = i) -> float:
+                args[i] = x
+                return float((weights * forward(*args)[0]).sum())
+
+            numeric.append(finite_diff_grad(loss, a, FD_EPS))
+            args[i] = a
+        flat = [np.concatenate(grads, axis=None) for grads in (analytic, numeric)]
+        worst = max(worst, relative_error(*flat))
+    return worst
 
 
 def _clear_of_kinks(*arrays: np.ndarray) -> bool:
@@ -156,73 +166,44 @@ def _pool_tie_free(C: np.ndarray, spans) -> bool:
     return True
 
 
+def _sample_graph_attention(r: SeededRng):
+    n = int(r.integers(2, 6))
+    d_in = int(r.integers(2, 5))
+    d_out = int(r.integers(2, 5))
+    H = r.normal((n, d_in))
+    adj = _random_adjacency(r, n)
+    params = init_graph_attention_params(r.split(1), d_in, d_out)
+    weights = r.normal((n, d_out))
+    return (
+        [H, params["proj"], params["attn_vec"]], weights,
+        lambda h, proj, vec: graph_attention_forward(h, adj, {"proj": proj, "attn_vec": vec}),
+        graph_attention_backward, lambda cache: _clear_of_kinks(cache.pre[0], cache.agg[0]),
+    )
+
+
 def gradcheck_graph_attention(instances: int = 100, seed: int = 7) -> float:
     """Max relative error of the analytic gradients over random cases."""
-    rng = SeededRng(seed)
-    worst = 0.0
-    for case in range(instances):
-        def build(r: SeededRng):
-            n = int(r.integers(2, 6))
-            d_in = int(r.integers(2, 5))
-            d_out = int(r.integers(2, 5))
-            H = r.normal((n, d_in))
-            adj = _random_adjacency(r, n)
-            params = init_graph_attention_params(r.split(1), d_in, d_out)
-            weights = r.normal((n, d_out))
-            out, _, cache = graph_attention_forward(H, adj, params)
-            if not _clear_of_kinks(cache.pre[0], cache.agg[0]):
-                return None
-            dH, d_proj, d_vec = graph_attention_backward(cache, weights)
-            analytic = _pack([dH, d_proj, d_vec])
-            templates = [H, params["proj"], params["attn_vec"]]
-            theta0 = _pack(templates)
-            layout = _layout(templates)
+    return _gradcheck(instances, seed, _sample_graph_attention)
 
-            def loss(theta: np.ndarray) -> float:
-                h, proj, vec = _unpack(theta, layout)
-                o, _, _ = graph_attention_forward(h, adj, {"proj": proj, "attn_vec": vec})
-                return float((weights * o).sum())
 
-            return theta0, analytic, loss
-
-        worst = max(worst, _check_case(build, rng.split(case)))
-    return worst
+def _sample_graph2doc(r: SeededRng):
+    l = int(r.integers(4, 9))
+    d = int(r.integers(2, 4))
+    w = int(r.integers(2, 4))
+    spans = _random_spans(r, l)
+    if not spans:
+        return None
+    asg = SpanAssignment(spans, l)
+    C = r.normal((1, l, d))
+    nodes = r.normal((1, len(spans), w))
+    mix = r.normal((d + w, d))
+    weights = r.normal((1, l, d))
+    return ([C, nodes, mix], weights, lambda c, nd, mx: unpool_batch_forward(c, nd, asg, mx),
+            unpool_batch_backward, lambda cache: _clear_of_kinks(cache.pre))
 
 
 def gradcheck_graph2doc(instances: int = 100, seed: int = 8) -> float:
-    rng = SeededRng(seed)
-    worst = 0.0
-    for case in range(instances):
-        def build(r: SeededRng):
-            l = int(r.integers(4, 9))
-            d = int(r.integers(2, 4))
-            w = int(r.integers(2, 4))
-            spans = _random_spans(r, l)
-            if not spans:
-                return None
-            asg = SpanAssignment(spans, l)
-            C = r.normal((1, l, d))
-            nodes = r.normal((1, len(spans), w))
-            mix = r.normal((d + w, d))
-            weights = r.normal((1, l, d))
-            out, cache = unpool_batch_forward(C, nodes, asg, mix)
-            if not _clear_of_kinks(cache.pre):
-                return None
-            dC, d_nodes, d_mix = unpool_batch_backward(cache, weights)
-            analytic = _pack([dC, d_nodes, d_mix])
-            templates = [C, nodes, mix]
-            theta0 = _pack(templates)
-            layout = _layout(templates)
-
-            def loss(theta: np.ndarray) -> float:
-                c, nd, mx = _unpack(theta, layout)
-                o, _ = unpool_batch_forward(c, nd, asg, mx)
-                return float((weights * o).sum())
-
-            return theta0, analytic, loss
-
-        worst = max(worst, _check_case(build, rng.split(case)))
-    return worst
+    return _gradcheck(instances, seed, _sample_graph2doc)
 
 
 def _random_spans(rng: SeededRng, num_tokens: int) -> list[tuple[int, int]]:
@@ -238,82 +219,66 @@ def _random_spans(rng: SeededRng, num_tokens: int) -> list[tuple[int, int]]:
     return spans
 
 
+def _sample_fusion(r: SeededRng):
+    l, d, w = 12, 3, 3
+    spans = [(0, 2), (4, 5), (7, 10)]
+    asg = SpanAssignment(spans, l)
+    adj = _random_adjacency(r, len(spans))
+    C0 = r.normal((l, d))
+    params = init_graph_attention_params(r.split(1), 2 * d, w)
+    mix = r.normal((d + w, d))
+    weights = r.normal((l, d))
+
+    def forward(c0, proj, attn_vec, mix):
+        hop = {"proj": proj, "attn_vec": attn_vec, "mix": mix}
+        return fusion_block_forward(c0, adj, asg, [hop] * FUSION_HOPS)
+
+    def backward(hop_caches, d_out):
+        dC0, per_hop = fusion_block_backward(hop_caches, d_out)
+        return [dC0, *(sum(g[k] for g in per_hop) for k in ("proj", "attn_vec", "mix"))]
+
+    def clear(hop_caches) -> bool:
+        return all(
+            _clear_of_kinks(att_c.pre[0], att_c.agg[0], unpool_c.pre[0])
+            and _pool_tie_free(pool_c.C, spans)
+            for pool_c, att_c, unpool_c in hop_caches
+        )
+
+    return [C0, params["proj"], params["attn_vec"], mix], weights, forward, backward, clear
+
+
 def gradcheck_fusion(instances: int = 100, seed: int = 9) -> float:
     """Full hop loop with one weight set tied across hops, so each weight's
     gradient is the sum of its per-hop gradients; 12 tokens, 3 entities."""
-    rng = SeededRng(seed)
-    worst = 0.0
-    for case in range(instances):
-        def build(r: SeededRng):
-            l, d, w = 12, 3, 3
-            spans = [(0, 2), (4, 5), (7, 10)]
-            asg = SpanAssignment(spans, l)
-            adj = _random_adjacency(r, len(spans))
-            C0 = r.normal((l, d))
-            params = {
-                **init_graph_attention_params(r.split(1), 2 * d, w),
-                "mix": r.normal((d + w, d)),
-            }
-            weights = r.normal((l, d))
-            out, _, hop_caches = fusion_block_forward(C0, adj, asg, [params] * FUSION_HOPS)
-            for pool_c, att_c, unpool_c in hop_caches:
-                if not _clear_of_kinks(att_c.pre[0], att_c.agg[0], unpool_c.pre[0]):
-                    return None
-                if not _pool_tie_free(pool_c.C, spans):
-                    return None
-            dC0, per_hop = fusion_block_backward(hop_caches, weights)
-            names = ("proj", "attn_vec", "mix")
-            tied = [sum(g[k] for g in per_hop) for k in names]
-            analytic = _pack([dC0, *tied])
-            templates = [C0, *(params[k] for k in names)]
-            theta0 = _pack(templates)
-            layout = _layout(templates)
+    return _gradcheck(instances, seed, _sample_fusion)
 
-            def loss(theta: np.ndarray) -> float:
-                c0, *arrays = _unpack(theta, layout)
-                p = dict(zip(names, arrays))
-                o, _, _ = fusion_block_forward(c0, adj, asg, [p] * FUSION_HOPS)
-                return float((weights * o).sum())
 
-            return theta0, analytic, loss
+def _sample_transformer(r: SeededRng):
+    l = int(r.integers(3, 6))
+    d, heads, ffn = 6, 2, 5
+    layers = init_transformer_params(r.split(1), num_layers=2, model_dim=d, ffn_dim=ffn)
+    X = r.normal((l, d))
+    weights = r.normal((l, d))
+    names = sorted(layers[0])
+    per = len(names)
 
-        worst = max(worst, _check_case(build, rng.split(case)))
-    return worst
+    def forward(x, *rest):
+        per_layer = [dict(zip(names, rest[i : i + per])) for i in range(0, len(rest), per)]
+        return transformer_forward(x, per_layer, heads)
+
+    def backward(cache, d_out):
+        dX, layer_grads = transformer_backward(cache, d_out)
+        return [dX, *(g[name] for g in layer_grads for name in names)]
+
+    # only the FFN ReLU has a kink; softmax and layer norm are smooth
+    def clear(cache) -> bool:
+        return all(_clear_of_kinks(ffn_c[1][0]) for _, _, ffn_c, _ in cache[2])
+
+    return [X, *(lp[name] for lp in layers for name in names)], weights, forward, backward, clear
 
 
 def gradcheck_transformer(instances: int = 100, seed: int = 10) -> float:
-    rng = SeededRng(seed)
-    worst = 0.0
-    for case in range(instances):
-        def build(r: SeededRng):
-            l = int(r.integers(3, 6))
-            d, heads, ffn = 6, 2, 5
-            layers = init_transformer_params(r.split(1), num_layers=2, model_dim=d, ffn_dim=ffn)
-            X = r.normal((l, d))
-            weights = r.normal((l, d))
-            out, _, cache = transformer_forward(X, layers, heads)
-            # only the FFN ReLU has a kink; softmax and layer norm are smooth
-            for _, _, ffn_c, _ in cache[2]:  # per-layer caches
-                if not _clear_of_kinks(ffn_c[1][0]):
-                    return None
-            dX, layer_grads = transformer_backward(cache, weights)
-            names = sorted(layers[0])
-            per = len(names)
-            analytic = _pack([dX, *(g[name] for g in layer_grads for name in names)])
-            templates = [X, *(lp[name] for lp in layers for name in names)]
-            theta0 = _pack(templates)
-            layout = _layout(templates)
-
-            def loss(theta: np.ndarray) -> float:
-                x, *rest = _unpack(theta, layout)
-                per_layer = [dict(zip(names, rest[i : i + per])) for i in range(0, len(rest), per)]
-                o, _, _ = transformer_forward(x, per_layer, heads)
-                return float((weights * o).sum())
-
-            return theta0, analytic, loss
-
-        worst = max(worst, _check_case(build, rng.split(case)))
-    return worst
+    return _gradcheck(instances, seed, _sample_transformer)
 
 
 def run_gradcheck_suite(instances: int = 100, seed: int = 3) -> dict:

@@ -77,20 +77,26 @@ def _out_dir(args) -> Path:
 
 def _build_configs(args, *classes) -> list:
     """One validated instance of each config dataclass, from --config and
-    --set; a --set may override a key the file sets."""
+    --set; a --set may override a key the file sets. An error names the
+    file line or --set of each key it involves."""
     spec = fields_spec(*classes)
     items = parse_config_file(args.config) if args.config else []
     items += [(f"--set {item}", *parse_override(item)) for item in args.set or []]
-    values = {}
+    values, sources = {}, {}
     for where, key, value in items:
         if key not in spec:
             names = " or ".join(cls.__name__ for cls in classes)
             raise ValidationError(f"{where}: unknown config key {key} (not a field of {names})")
         values[key] = record(value, spec[key], f"{where}: {key}")
-    return [
-        cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}).validate()
-        for cls in classes
-    ]
+        sources[key] = where
+    try:
+        return [
+            cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}).validate()
+            for cls in classes
+        ]
+    except (ValidationError, GenerationError) as exc:
+        named = ", ".join(sources[key] for key in exc.keys if key in sources)
+        raise type(exc)(f"{named}: {exc}" if named else str(exc), *exc.keys) from None
 
 
 def _labels_for(examples, labels_path) -> list[int]:

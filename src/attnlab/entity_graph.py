@@ -146,6 +146,8 @@ def build_graph(example: ContextExample) -> EntityGraph:
 
 def density(g: EntityGraph) -> float:
     """Fraction of ones in the full n x n adjacency, diagonal included."""
+    if g.n == 0:
+        raise ValidationError("a graph with no nodes has no density")
     return float(g.adjacency.sum()) / float(g.n * g.n)
 
 

@@ -5,7 +5,16 @@ class ShapeError(ValueError):
     """Operands have incompatible or malformed shapes."""
 
 
-class ValidationError(ValueError):
+class _KeyedError(Exception):
+    """``keys`` names the config fields an error involves, so that the CLI
+    can name where each was set."""
+
+    def __init__(self, message: str = "", *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+class ValidationError(_KeyedError, ValueError):
     """An input record or structure violates a documented invariant."""
 
 
@@ -13,7 +22,7 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(_KeyedError, RuntimeError):
     """A synthetic-task configuration cannot be realized."""
 
 

@@ -14,8 +14,8 @@ spec of kinds: ``int``, ``str``, ``bool`` (exactly that JSON type, so
 float); ``[kind]`` (a list); ``(kind, ...)`` (a list of that many, as a
 tuple); ``{key: kind, ...}`` (an object with exactly those keys);
 ``dict`` (any object); ``np.float64`` and ``np.bool_`` (a rectangular
-nested list of numbers or booleans, read by one numpy call, so a bool
-among numbers reads as 0 or 1). A mismatch raises ``ValidationError``
+nested list of numbers with no boolean among them, or of booleans, read
+by numpy in one piece). A mismatch raises ``ValidationError``
 naming the key path, as in ``entity_spans[0].end must be an integer, got
 2.7``.
 """
@@ -69,6 +69,9 @@ _KIND_NAMES = {int: "an integer", str: "a string", bool: "true or false", dict: 
                np.bool_: "a rectangular list of booleans"}
 
 
+_TYPE = np.frompyfunc(type, 1, 1)
+
+
 def record(doc, spec, where: str = ""):
     """``doc`` checked against ``spec`` and returned typed; ``where`` is the
     key path of ``doc`` itself, empty for a whole record."""
@@ -80,8 +83,12 @@ def record(doc, spec, where: str = ""):
         if type(doc) is list:
             with contextlib.suppress(ValueError):  # a ragged list
                 a = np.array(doc)
-                if a.dtype.kind in ("b" if spec is np.bool_ else "iuf"):
-                    return a.astype(spec, copy=False)
+                if spec is np.bool_ and a.dtype.kind == "b":
+                    return a
+                # numpy reads a bool among numbers as 0 or 1; the objects' types show it
+                if (spec is np.float64 and a.dtype.kind in "iuf"
+                        and not (_TYPE(np.array(doc, dtype=object)) == bool).any()):
+                    return a.astype(np.float64, copy=False)
     elif kind is type:
         if type(doc) is spec:
             return doc

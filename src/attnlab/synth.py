@@ -59,26 +59,28 @@ class SyntheticTaskConfig:
     def validate(self) -> "SyntheticTaskConfig":
         for name in ("num_examples", "num_entities_pool", "entities_per_sentence"):
             if getattr(self, name) < 1:
-                raise GenerationError(f"{name} must be >= 1")
+                raise GenerationError(f"{name} must be >= 1", name)
         if self.sentences_per_context < 2:
-            raise GenerationError("sentences_per_context must be >= 2: question plus context")
-        if not 0.0 <= self.mention_collision_rate <= 1.0:
-            raise GenerationError("mention_collision_rate must lie in [0, 1]")
-        if not 0.0 <= self.sentence_merge_rate <= 1.0:
-            raise GenerationError("sentence_merge_rate must lie in [0, 1]")
+            raise GenerationError("sentences_per_context must be >= 2: question plus context",
+                                  "sentences_per_context")
+        for name in ("mention_collision_rate", "sentence_merge_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise GenerationError(f"{name} must lie in [0, 1]", name)
         for name in ("distractor_count", "seed"):
             if getattr(self, name) < 0:
-                raise GenerationError(f"{name} must be >= 0")
+                raise GenerationError(f"{name} must be >= 0", name)
         capacity = (self.sentences_per_context - 2) * self.entities_per_sentence
         if self.distractor_count > capacity:
             raise GenerationError(
                 f"{self.distractor_count} distractors exceed capacity {capacity} "
-                f"({self.sentences_per_context} sentences x {self.entities_per_sentence} slots)"
+                f"({self.sentences_per_context} sentences x {self.entities_per_sentence} slots)",
+                "distractor_count", "sentences_per_context", "entities_per_sentence",
             )
         if self.num_entities_pool < 2 + self.distractor_count:
             raise GenerationError(
                 "entity pool too small to keep query and answer texts unique: "
-                f"need >= {2 + self.distractor_count}, have {self.num_entities_pool}"
+                f"need >= {2 + self.distractor_count}, have {self.num_entities_pool}",
+                "num_entities_pool", "distractor_count",
             )
         return self
 

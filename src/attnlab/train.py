@@ -131,20 +131,23 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         if self.variant not in VARIANTS:
-            raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValidationError(
+                f"variant must be one of {VARIANTS}, got {self.variant!r}", "variant")
         if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+            raise ValidationError(f"seed must be >= 0, got {self.seed}", "seed")
         for name in ("hops", "hidden_dim", "epochs", "batch_size", "num_heads"):
             if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+                raise ValidationError(f"{name} must be >= 1", name)
         for name in ("learning_rate", "embed_scale"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:  # NaN fails too
-                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}", name)
         if self.variant == "transformer" and self.hidden_dim % self.num_heads:
-            raise ValidationError("num_heads must divide hidden_dim")
+            raise ValidationError(
+                "num_heads must divide hidden_dim", "variant", "num_heads", "hidden_dim")
         if not 0.0 < self.leaky_slope < 1.0:
-            raise ValidationError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope!r}")
+            raise ValidationError(
+                f"leaky_slope must lie in (0, 1), got {self.leaky_slope!r}", "leaky_slope")
         return self
 
 

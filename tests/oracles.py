@@ -273,17 +273,6 @@ def where_mask_softmax(scores, mask):
     return out
 
 
-def prod_unpack(vec, templates):
-    """Split a packed vector by each template's ``np.prod(shape)``."""
-    out = []
-    pos = 0
-    for t in templates:
-        size = int(np.prod(t.shape)) if t.shape else 1
-        out.append(vec[pos : pos + size].reshape(t.shape))
-        pos += size
-    return out
-
-
 def unique_check_adjacency(adj):
     """Adjacency validation through ``np.unique``, ``np.isin`` and ``array_equal``."""
     from attnlab.errors import ShapeError, ValidationError

@@ -7,6 +7,8 @@ from attnlab.attention import (
     LEAKY_SLOPE,
     _check_adjacency,
     graph_attention_backward,
+    graph_attention_batch_backward,
+    graph_attention_batch_forward,
     graph_attention_forward,
     init_graph_attention_params,
     masked_softmax,
@@ -97,6 +99,24 @@ def test_locality_perturbation():
         changed = np.abs(out1 - out0).sum(axis=1) > 0
         for i in np.flatnonzero(changed):
             assert adj[i, j] == 1.0, f"node {i} changed without edge to perturbed {j}"
+
+
+def test_no_gradient_flows_along_a_non_edge():
+    """Two components A and B, and a cotangent that is zero on B: B's nodes
+    reach A's outputs only along non-edges, so their dH rows are exact zeros."""
+    rng = SeededRng(17)
+    n_a, n = 3, 7
+    H = rng.normal((1, n, 4))
+    adj = np.zeros((1, n, n))
+    adj[0, :n_a, :n_a] = 1.0
+    adj[0, n_a:, n_a:] = 1.0
+    params = init_graph_attention_params(rng.split(1), 4, 3)
+    _, _, cache = graph_attention_batch_forward(H, adj, params)
+    d_out = rng.normal((1, n, 3))
+    d_out[0, n_a:] = 0.0
+    dH, _, _ = graph_attention_batch_backward(cache, d_out)
+    assert (dH[0, n_a:] == 0.0).all()
+    assert (dH[0, :n_a] != 0.0).any()
 
 
 def test_permutation_equivariance():

@@ -60,6 +60,10 @@ def _set_entry(doc, value):
     doc["layers"][0][1][0][0] = value
 
 
+def _set_row(doc, row):
+    doc["layers"][0][1][0] = row
+
+
 def _negative_row(doc):
     doc["layers"][0][1][0][:2] = [-0.25, 1.25 - (L - 2) / L]
 
@@ -253,6 +257,10 @@ CASES = {
     "probe-heads nan entry": (
         lambda tmp: ["probe-heads", "--traces", _traces(tmp, lambda d: _set_entry(d, math.nan))],
         2, "traces.jsonl:1: layer 0 head 1"),
+    "probe-heads true in a row that reads as one-hot": (
+        lambda tmp: ["probe-heads", "--traces",
+                     _traces(tmp, lambda d: _set_row(d, [True] + [0.0] * (L - 1)))],
+        2, "traces.jsonl:1: layers must be a rectangular list of numbers"),
     "probe-heads negative entries in a row summing to 1": (
         lambda tmp: ["probe-heads", "--traces", _traces(tmp, _negative_row)],
         2, "traces.jsonl:1: layer 0 head 1"),
@@ -594,18 +602,18 @@ def test_mutated_record_exits_as_tabled(tmp_path, capsys, base, key_path):
 
 CONFIG_BASE = {ExperimentConfig: {"hidden_dim": "8", "epochs": "1"},
                SyntheticTaskConfig: {"num_examples": "12"}}
-# per kind, values of another type, which name their source, and values of
-# the kind that are out of range, which name their key
+# per kind, values of another type and values of the kind that are out of
+# range; both name their source and key
 CONFIG_TEXTS = {int: (["abc", "2.0", "true", "null", "nan", "inf", "-inf"], ["0", "-1"]),
                 float: (["abc", "true", "null", "nan", "inf", "-inf"], ["0", "-1"]),
                 str: (["7"], ["null"]), bool: (["1", "abc", "null"], [])}
 CONFIG_ROWS = {
     f"{source} {key}": {
-        f"{source} {key}={text}": (text, text in typed) for text in mistyped + typed
+        f"{source} {key}={text}": text for text in mistyped + out_of_range
     }
     for cls in CONFIG_BASE
     for key, kind in fields_spec(cls).items()
-    for mistyped, typed in [CONFIG_TEXTS[kind]]
+    for mistyped, out_of_range in [CONFIG_TEXTS[kind]]
     for source in ("--set", "--config")
 }
 CONFIG_CLASS = {key: cls for cls in CONFIG_BASE for key in fields_spec(cls)}
@@ -624,7 +632,7 @@ def test_mistyped_config_value_exits_as_tabled(tmp_path, capsys, base, source_ke
     source, key = source_key.split()
     cls = CONFIG_CLASS[key]
     values = {k: v for k, v in CONFIG_BASE[cls].items() if k != key}
-    for i, (row, (text, typed)) in enumerate(CONFIG_ROWS[source_key].items()):
+    for i, (row, text) in enumerate(CONFIG_ROWS[source_key].items()):
         if cls is ExperimentConfig:
             argv = ["train", "--dataset", str(files["dataset"]),
                     "--labels", str(files["labels"]), "--test-count", "4"]
@@ -648,6 +656,23 @@ def test_mistyped_config_value_exits_as_tabled(tmp_path, capsys, base, source_ke
             assert code == 0, (row, err)
             continue
         assert code == 2, (row, err)
-        # a value of another type names its source, one out of range its key
-        assert (key if typed else f"{where}: {key}") in err, (row, err)
+        assert f"{where}: {key}" in err, (row, err)
         assert not out.exists(), row
+
+
+@pytest.mark.parametrize("command, lines, override, message", [
+    ("train", ["variant = transformer", "hidden_dim = 10"], "num_heads=3",
+     "{cfg}:1, --set num_heads=3, {cfg}:2: num_heads must divide hidden_dim"),
+    ("gen-synthetic", ["entities_per_sentence = 2"], "distractor_count=7",
+     "--set distractor_count=7, {cfg}:1: 7 distractors exceed capacity 6"),
+])
+def test_a_cross_field_config_error_names_the_source_of_each_key(
+        tmp_path, capsys, command, lines, override, message):
+    """Keys left at their defaults have no source and are not named."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--set", override, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists(), err
+    assert message.format(cfg=cfg) in err, err

@@ -121,6 +121,13 @@ def test_density_trivial_cases():
     assert density(build_graph(isolated)) == 0.5
 
 
+def test_density_of_a_graph_with_no_nodes_is_refused():
+    empty = build_graph(ContextExample("e", ["a"], [(0, 1)], []))
+    assert empty.n == 0
+    with pytest.raises(ValidationError, match="no nodes"):
+        density(empty)
+
+
 def test_density_matches_popcount_oracle():
     rng = np.random.default_rng(3)
     from attnlab.entity_graph import EntityGraph

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from attnlab.checks import MAX_RESAMPLE, _gradcheck, _sample_graph_attention
+from attnlab.cli import GRAD_TOL
 from attnlab.errors import NumericError
-from attnlab.checks import _layout, _pack, _unpack
 from attnlab.numerics import SeededRng, finite_diff_grad, leaky_relu, mean_along, relu
-from oracles import prod_unpack
 
 
 def test_activations():
@@ -56,14 +56,29 @@ def test_mean_along_is_bit_equal_to_mean(shape):
     assert np.array_equal(mean_along(x, 0), x.mean(axis=0))
 
 
-def test_unpack_round_trips_pack():
-    rng = np.random.default_rng(12)
-    templates = [rng.normal(size=(3, 4)), np.array(2.5), rng.normal(size=1),
-                 rng.normal(size=(1, 1)), rng.normal(size=(2, 3, 2)), rng.normal(size=5)]
-    vec = _pack(templates)
-    parts = _unpack(vec, _layout(templates))
-    assert len(parts) == len(templates)
-    for got, old, t in zip(parts, prod_unpack(vec, templates), templates):
-        assert got.shape == t.shape == old.shape
-        assert np.array_equal(got, t) and np.array_equal(got, old)
-    assert np.array_equal(_pack(parts), vec)
+def test_gradcheck_flags_one_gradient_off_by_a_factor_of_two():
+    """The driver checks every array: doubling the analytic gradient of one
+    weight, with the others exact, lifts the error far above the gate."""
+    def doubled(r):
+        arrays, weights, forward, backward, clear = _sample_graph_attention(r)
+
+        def wrong(cache, w):
+            dH, d_proj, d_vec = backward(cache, w)
+            return dH, 2.0 * d_proj, d_vec
+
+        return arrays, weights, forward, wrong, clear
+
+    assert _gradcheck(3, 7, _sample_graph_attention) <= GRAD_TOL
+    assert _gradcheck(3, 7, doubled) > 100 * GRAD_TOL
+
+
+def test_gradcheck_gives_up_on_a_sampler_never_clear_of_kinks():
+    draws = []
+
+    def never_clear(r):
+        draws.append(r.seed)
+        return [np.ones(2)], np.ones(2), lambda x: (x, None), lambda c, w: [w], lambda c: False
+
+    with pytest.raises(NumericError, match="clear of activation kinks"):
+        _gradcheck(1, 0, never_clear)
+    assert len(set(draws)) == len(draws) == MAX_RESAMPLE

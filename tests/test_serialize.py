@@ -60,6 +60,9 @@ RECORD_REFUSES = [
     (np.float64, [True, False], "x must be a rectangular list of numbers"),
     (np.bool_, ["x", ""], "x must be a rectangular list of booleans"),
     (np.bool_, [1, 0], "x must be a rectangular list of booleans"),
+    (np.float64, [[True, 0.5]], "x must be a rectangular list of numbers"),
+    (np.float64, [[0.5, 0.25], [0.0, False]], "x must be a rectangular list of numbers"),
+    (np.float64, [2, True], "x must be a rectangular list of numbers"),
 ]
 
 
