@@ -5,6 +5,16 @@ change left every bit of fixed-seed training and checking as it was.
 
     python scripts/bit_witness.py > witness.txt
 
+or let the script do both runs and the diff against a git revision:
+
+    python scripts/bit_witness.py --against HEAD~1
+
+extracts that revision of the repository the script lives in with ``git
+archive`` into a temporary directory, runs the witness of each tree in a
+fresh interpreter with the same environment, so under the same
+``OPENBLAS_NUM_THREADS``, prints the unified diff from the revision's
+output to this tree's, and exits 1 when the diff is not empty.
+
 A first line names the host's CPU count and ``OPENBLAS_NUM_THREADS``:
 BLAS splits a large enough GEMM across threads, which changes its sums'
 order, so only outputs made with the same thread count compare bit for
@@ -33,12 +43,16 @@ lives in.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -106,7 +120,31 @@ def _cli_artifacts(out: Path) -> dict[str, str]:
     }
 
 
-def main() -> None:
+def _witness_output(script: Path) -> list[str]:
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{script} failed:\n{proc.stderr}")
+    return proc.stdout.splitlines(keepends=True)
+
+
+def against(rev: str) -> int:
+    """Print the diff of the witness of ``rev`` against this tree's; 1 if any line moved."""
+    here = Path(__file__).resolve()
+    root = here.parent.parent
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev], capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        before = _witness_output(Path(tmp) / here.relative_to(root))
+    after = _witness_output(here)
+    diff = list(difflib.unified_diff(before, after, rev, "this tree"))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
+
+
+def witness() -> None:
     threads = os.environ.get("OPENBLAS_NUM_THREADS")
     print(json.dumps({"host": {"cpu_count": os.cpu_count(), "OPENBLAS_NUM_THREADS": threads}}))
     examples, labels = generate_synthetic(SyntheticTaskConfig(num_examples=400))
@@ -147,5 +185,16 @@ def main() -> None:
         print(json.dumps({"cli_artifacts_sha256": _cli_artifacts(Path(tmp))}, sort_keys=True))
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="diff this tree's witness against that of git revision REV")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        witness()
+        return 0
+    return against(args.against)
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,9 +24,13 @@ every row of every layer, as the head probe's (L, L) traces need.
 
 Weights are plain dicts of arrays keyed by the short names a checkpoint
 uses, where ``train`` prefixes them with the layer (``fusion.0.proj``,
-``tf.1.wq``). Graph attention reads ``{"proj", "attn_vec"}``; a
-transformer layer reads ``wq wk wv wo w1 b1 w2 b2 ln1_gain ln1_bias
-ln2_gain ln2_bias``. The hyperparameters are arguments (``leaky_slope``,
+``tf.1.wqkv``). Graph attention reads ``{"proj", "attn_vec"}``; a
+transformer layer reads ``wqkv wo w1 b1 w2 b2 ln1_gain ln1_bias ln2_gain
+ln2_bias``, where ``wqkv`` (d, 3d) holds the query, key and value
+projections side by side as [Q | K | V], so one GEMM makes all three. The
+heads of q, k and v are views of that GEMM's output, and the context and
+the gradients of q, k and v are written head by head straight into
+token-major buffers. The hyperparameters are arguments (``leaky_slope``,
 ``num_heads``), widths come from the array shapes, and each layer checks
 the shapes it relies on where the weights enter.
 
@@ -79,16 +83,20 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _attend(scores: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None):
-    """``(alpha, alpha @ values)``, alpha the softmax of scores over the keys in mask."""
+def _attend(scores: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None,
+            out: np.ndarray | None = None):
+    """``(alpha, alpha @ values)``, alpha the softmax of scores over the keys
+    in mask; the product goes into ``out`` when given."""
     alpha = masked_softmax(scores, mask)
-    return alpha, alpha @ values
+    return alpha, np.matmul(alpha, values, out=out)
 
 
-def _attend_backward(alpha: np.ndarray, values: np.ndarray, d_out: np.ndarray):
-    """``(d_scores, d_values)`` of ``_attend``; d_scores is 0.0 wherever alpha is."""
+def _attend_backward(alpha: np.ndarray, values: np.ndarray, d_out: np.ndarray,
+                     d_values: np.ndarray | None = None):
+    """``(d_scores, d_values)`` of ``_attend``; d_scores is 0.0 wherever alpha
+    is. d_values goes into the array ``d_values`` when given."""
     d_alpha = d_out @ values.swapaxes(-1, -2)
-    d_values = alpha.swapaxes(-1, -2) @ d_out
+    d_values = np.matmul(alpha.swapaxes(-1, -2), d_out, out=d_values)
     rho = np.sum(alpha * d_alpha, axis=-1, keepdims=True)
     return alpha * (d_alpha - rho), d_values
 
@@ -240,16 +248,16 @@ LN_EPS = 1e-5
 def init_transformer_params(
     rng: SeededRng, num_layers: int, model_dim: int, ffn_dim: int
 ) -> list[dict[str, np.ndarray]]:
-    """One dict per layer: ``wq wk wv wo`` (d, d), ``w1`` (d, ffn), ``b1``,
-    ``w2`` (ffn, d), ``b2``, and the two layer norms' ``ln*_gain``/``ln*_bias``."""
+    """One dict per layer: ``wqkv`` (d, 3d), ``wo`` (d, d), ``w1`` (d, ffn),
+    ``b1``, ``w2`` (ffn, d), ``b2``, and the two layer norms'
+    ``ln*_gain``/``ln*_bias``. The Q, K and V blocks of ``wqkv`` and then
+    ``wo`` are four successive (d, d) draws."""
     d = model_dim
     proj_scale = float(np.sqrt(1.0 / d))
     ffn_scale = float(np.sqrt(2.0 / (d + ffn_dim)))
     return [
         {
-            "wq": rng.normal((d, d), proj_scale),
-            "wk": rng.normal((d, d), proj_scale),
-            "wv": rng.normal((d, d), proj_scale),
+            "wqkv": np.concatenate([rng.normal((d, d), proj_scale) for _ in range(3)], axis=1),
             "wo": rng.normal((d, d), proj_scale),
             "w1": rng.normal((d, ffn_dim), ffn_scale),
             "b1": np.zeros(ffn_dim),
@@ -294,14 +302,10 @@ def _layernorm_backward(dy, ln_cache):
     return dx, d_gain, d_bias
 
 
-def _split_heads(x, num_heads):
+def _heads(x, num_heads):
+    """A (B, L, D) array seen as (B, heads, L, D / heads), without a copy."""
     b, l, d = x.shape
     return x.reshape(b, l, num_heads, d // num_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
 def _flat_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -317,38 +321,48 @@ def _outer_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def _mha_forward(x, lp: dict, num_heads, rows=None):
     """Attention of the query ``rows`` of x (every row when None) over all
     of x. The cache starts with those rows' input, which the residual adds."""
-    xq = x if rows is None else x[:, rows]
-    scale = 1.0 / np.sqrt(x.shape[-1] // num_heads)
-    q = _split_heads(_flat_mm(xq, lp["wq"]), num_heads)
-    k = _split_heads(_flat_mm(x, lp["wk"]), num_heads)
-    v = _split_heads(_flat_mm(x, lp["wv"]), num_heads)
+    d = x.shape[-1]
+    wqkv = lp["wqkv"]
+    if rows is None:
+        xq = x
+        qkv = _flat_mm(x, wqkv)
+        q, kv = qkv[..., :d], qkv[..., d:]
+    else:
+        xq = x[:, rows]
+        q, kv = _flat_mm(xq, wqkv[:, :d]), _flat_mm(x, wqkv[:, d:])
+    q, k, v = (_heads(a, num_heads) for a in (q, kv[..., :d], kv[..., d:]))
+    scale = 1.0 / np.sqrt(d // num_heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    alpha, ctx = _attend(scores, v)
-    merged = _merge_heads(ctx)
-    out = _flat_mm(merged, lp["wo"])
-    return out, alpha, (xq, x, rows, q, k, v, alpha, merged, scale)
+    ctx = np.empty(xq.shape)
+    alpha, _ = _attend(scores, v, out=_heads(ctx, num_heads))
+    out = _flat_mm(ctx, lp["wo"])
+    return out, alpha, (xq, x, rows, q, k, v, alpha, ctx, scale)
 
 
 def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
-    xq, x, rows, q, k, v, alpha, merged, scale = mha_cache
-    d_wo = _outer_grad(merged, d_out)
-    d_merged = _flat_mm(d_out, lp["wo"].T)
-    d_ctx = _split_heads(d_merged, num_heads)
-    d_scores, dv = _attend_backward(alpha, v, d_ctx)
-    dq = (d_scores @ k) * scale
-    dk = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
-    dqm, dkm, dvm = (_merge_heads(a) for a in (dq, dk, dv))
-    d_wq = _outer_grad(xq, dqm)
-    d_wk = _outer_grad(x, dkm)
-    d_wv = _outer_grad(x, dvm)
+    xq, x, rows, q, k, v, alpha, ctx, scale = mha_cache
+    d = x.shape[-1]
+    wqkv = lp["wqkv"]
+    d_wo = _outer_grad(ctx, d_out)
+    d_ctx = _heads(_flat_mm(d_out, lp["wo"].T), num_heads)
+    # d(q|k|v) land token-major: one buffer for all three, or dq and d(k|v)
+    # apart when the queries are a subset of the rows
     if rows is None:
-        dx = _flat_mm(dqm, lp["wq"].T)
+        dqkv = np.empty(x.shape[:-1] + (3 * d,))
+        dq, dkv = dqkv[..., :d], dqkv[..., d:]
     else:
-        dx = np.zeros(x.shape)
-        dx[:, rows] = _flat_mm(dqm, lp["wq"].T)
-    dx += _flat_mm(dkm, lp["wk"].T)
-    dx += _flat_mm(dvm, lp["wv"].T)
-    return dx, {"wq": d_wq, "wk": d_wk, "wv": d_wv, "wo": d_wo}
+        dq, dkv = np.empty(xq.shape), np.empty(x.shape[:-1] + (2 * d,))
+    dq_h, dk_h, dv_h = (_heads(a, num_heads) for a in (dq, dkv[..., :d], dkv[..., d:]))
+    d_scores, _ = _attend_backward(alpha, v, d_ctx, d_values=dv_h)
+    d_scores *= scale
+    np.matmul(d_scores, k, out=dq_h)
+    np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=dk_h)
+    if rows is None:
+        return _flat_mm(dqkv, wqkv.T), {"wqkv": _outer_grad(x, dqkv), "wo": d_wo}
+    d_wqkv = np.concatenate([_outer_grad(xq, dq), _outer_grad(x, dkv)], axis=1)
+    dx = _flat_mm(dkv, wqkv[:, d:].T)
+    dx[:, rows] += _flat_mm(dq, wqkv[:, :d].T)
+    return dx, {"wqkv": d_wqkv, "wo": d_wo}
 
 
 def _ffn_forward(x, lp: dict):
@@ -378,7 +392,7 @@ def transformer_batch_forward(
     """Post-norm encoder stack over (B, L, model_dim).
 
     ``layers`` holds one dict per layer, as ``init_transformer_params``
-    makes them; ``wq`` of the first fixes model_dim. ``rows`` (ascending
+    makes them; ``wqkv`` of the first fixes model_dim. ``rows`` (ascending
     token positions, or None for all L) are the rows the last layer
     computes.
 
@@ -388,10 +402,10 @@ def transformer_batch_forward(
     """
     if not layers:
         raise ValidationError("need at least one layer")
-    d = layers[0]["wq"].shape[0]
+    d = layers[0]["wqkv"].shape[0]
     for lp in layers:
-        if lp["wq"].shape != (d, d):
-            raise ShapeError(f"wq must be (model_dim, model_dim), got {lp['wq'].shape}")
+        if lp["wqkv"].shape != (d, 3 * d):
+            raise ShapeError(f"wqkv must be (model_dim, 3 * model_dim), got {lp['wqkv'].shape}")
     if d % num_heads != 0:
         raise ValidationError(f"head count {num_heads} must divide model_dim {d}")
     if X.ndim != 3 or X.shape[-1] != d:

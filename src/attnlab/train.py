@@ -37,7 +37,8 @@ both layer norms and the FFN, with keys and values over all L tokens. Its
 All parameters live in one flat dict of arrays, the same one that Adam
 updates and a checkpoint stores: ``embed``, ``pos`` and ``scorer``, plus
 each reasoning layer's arrays as ``fusion.<hop>.<name>`` (``proj``,
-``attn_vec``, ``mix``) or ``tf.<layer>.<name>`` (``wq`` ... ``ln2_bias``).
+``attn_vec``, ``mix``) or ``tf.<layer>.<name>`` (``wqkv``, ``wo``, ``w1``,
+``b1``, ``w2``, ``b2`` and the layer norms' ``ln1_gain`` ... ``ln2_bias``).
 A forward pass hands each layer its own arrays (not copies) under the
 short names, and the layers' gradients go back under the full names.
 """
@@ -79,7 +80,7 @@ DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8, 1.0)
 # holds no more live memory than one training step. A constant rather than
 # ``cfg.batch_size`` keeps in-memory and reloaded models bit-identical.
 PREDICT_CHUNK = 24
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # elements per block of Adam's in-place update: 256 KB per float64 operand
@@ -284,7 +285,8 @@ def param_shapes(cfg: ExperimentConfig, vocab_size: int, num_tokens: int) -> dic
                 f"fusion.{t}.mix": (2 * d, d),
             })
         elif cfg.variant == "transformer":
-            for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
+            shapes[f"tf.{t}.wqkv"] = (d, 3 * d)
+            for name in ("wo", "w1", "w2"):
                 shapes[f"tf.{t}.{name}"] = (d, d)
             for name in ("b1", "b2", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
                 shapes[f"tf.{t}.{name}"] = (d,)
@@ -445,7 +447,8 @@ class TrainedModel:
     assignment: SpanAssignment  # the token and span layout it was trained on
 
     def predict_scores(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
-        """Scores (len(idx), N), ``PREDICT_CHUNK`` examples per forward pass.
+        """Scores (len(idx), N), ``PREDICT_CHUNK`` examples per forward pass;
+        an empty ``idx`` gives (0, N).
 
         Each chunk's backward cache is dropped before the next chunk runs,
         so live memory stays that of one chunk however many examples are
@@ -456,7 +459,7 @@ class TrainedModel:
         for lo in range(0, idx.size, PREDICT_CHUNK):
             chunk = idx[lo : lo + PREDICT_CHUNK]
             outs.append(model_forward(self.cfg, self.params, data, chunk)[0])
-        return np.concatenate(outs) if outs else np.zeros((0, 0))
+        return np.concatenate(outs) if outs else np.zeros((0, self.assignment.num_entities))
 
     def predict(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
         return self.predict_scores(data, idx).argmax(axis=1)
@@ -551,10 +554,13 @@ def density_bins(
     idx: np.ndarray,
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
 ) -> tuple[list[dict], float]:
-    """Accuracy overall and stratified by adjacency-density quantile bins."""
+    """Accuracy overall and stratified by adjacency-density quantile bins
+    over the examples ``idx``, of which there must be at least one."""
+    if idx.size == 0:
+        raise ValidationError("density bins need at least one example, got an empty index")
     preds = model.predict(data, idx)
     correct = (preds == data.labels[idx]).astype(np.float64)
-    accuracy = float(correct.mean()) if idx.size else float("nan")
+    accuracy = float(correct.mean())
     by_id = {data.ids[i]: c for i, c in zip(idx, correct)}
     report = quantile_partition(
         [float(data.densities[i]) for i in idx],

@@ -401,7 +401,7 @@ def test_mismatched_checkpoint_is_rejected(tmp_path, capsys):
     bad = tmp_path / "bad_model.json"
     for edit, named in (
         (lambda d: d["arrays"]["tf.1.b1"].update(shape=[2, 4]), "'tf.1.b1'"),
-        (lambda d: d["arrays"].pop("tf.0.wq"), "'tf.0.wq'"),
+        (lambda d: d["arrays"].pop("tf.0.wqkv"), "'tf.0.wqkv'"),
         (lambda d: d["meta"]["config"].update(variant="graph_attention"), "'fusion.0.attn_vec'"),
         (lambda d: d["meta"]["config"].update(hidden_dims=8), "hidden_dims"),
         (lambda d: d["meta"].pop("vocab"), "meta.vocab is missing"),

@@ -305,8 +305,8 @@ CASES = {
         _on_dataset("train", _set_label("id", 5)), 2,
         "labels.jsonl:1: id must be a string, got 5"),
     "eval-density NaN in a transformer checkpoint": (
-        _checkpoint_with("transformer", _set_array_entry("tf.1.wq", math.nan)), 2,
-        "model_transformer_seed7.json: array 'tf.1.wq' holds NaN or inf"),
+        _checkpoint_with("transformer", _set_array_entry("tf.1.wqkv", math.nan)), 2,
+        "model_transformer_seed7.json: array 'tf.1.wqkv' holds NaN or inf"),
     "eval-density inf in a graph_attention checkpoint": (
         _checkpoint_with("graph_attention", _set_array_entry("scorer", math.inf)), 2,
         "model_graph_attention_seed7.json: array 'scorer' holds NaN or inf"),
@@ -331,6 +331,9 @@ CASES = {
     "eval-density checkpoint without a format": (
         _checkpoint_with("graph_attention", lambda doc: doc["meta"].pop("format")), 2,
         "model_graph_attention_seed7.json: meta.format is missing"),
+    "eval-density format-2 checkpoint": (
+        _checkpoint_with("transformer", _set_meta("format", value=2)), 2,
+        "model_transformer_seed7.json: meta.format 2 is not 3"),
     **{
         f"{command} context with no entity spans": (
             _on_dataset(command, _no_entity_spans), 2,

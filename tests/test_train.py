@@ -425,13 +425,26 @@ def test_evaluating_every_epoch_changes_no_bit(variant):
         assert np.array_equal(watched.params[k], plain.params[k]), k
 
 
-def test_divergence_raises_with_step():
+def test_an_empty_index_scores_no_rows_and_has_no_density_bins():
+    data = small_data(n=60, n_test=20)
+    model, _ = train(small_cfg("none", epochs=1), data)
+    empty = np.arange(0)
+    assert model.predict_scores(data, empty).shape == (0, data.assignment.num_entities)
+    assert model.predict(data, empty).shape == (0,)
+    with pytest.raises(ValidationError, match="empty index"):
+        density_bins(model, data, empty)
+
+
+# ``none`` is left out: at this learning rate its scores stay finite for an epoch
+@pytest.mark.parametrize("variant", ["graph_attention", "self_attention", "transformer"])
+def test_divergence_raises_with_step(variant):
     from attnlab.errors import TrainingError
 
     data = small_data(n=60, n_test=20)
-    cfg = small_cfg("graph_attention", epochs=1, learning_rate=1e150)
-    with pytest.raises(TrainingError):
+    cfg = small_cfg(variant, epochs=1, learning_rate=1e150)
+    with pytest.warns(RuntimeWarning), pytest.raises(TrainingError) as exc:
         train(cfg, data)
+    assert exc.value.step == 1
 
 
 def test_config_validation():

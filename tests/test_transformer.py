@@ -56,15 +56,26 @@ def test_single_head_matches_loop_oracle():
     X = rng.normal((6, d))
     keep = np.ones(6, dtype=bool)
     _, traces, _ = transformer_forward(X, params, HEADS)
-    lp = params[0]
+    wq, wk, wv = np.split(params[0]["wqkv"], 3, axis=1)
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
         _, ref_alpha = loop_attention_head(
-            X, lp["wq"][:, cols], lp["wk"][:, cols], lp["wv"][:, cols], scale, keep
+            X, wq[:, cols], wk[:, cols], wv[:, cols], scale, keep
         )
         np.testing.assert_allclose(traces[0][h], ref_alpha, atol=1e-12)
+
+
+def test_fused_qkv_blocks_are_successive_draws():
+    d, ffn = 6, 5
+    (layer,) = init_transformer_params(SeededRng(4), 1, d, ffn)
+    rng = SeededRng(4)
+    draws = [rng.normal((d, d), np.sqrt(1.0 / d)) for _ in range(4)]
+    assert layer["wqkv"].shape == (d, 3 * d)
+    for block, draw in zip(np.split(layer["wqkv"], 3, axis=1), draws):
+        assert np.array_equal(block, draw)
+    assert np.array_equal(layer["wo"], draws[3])
 
 
 def test_zero_cotangent_gives_zero_grads():
@@ -89,7 +100,7 @@ def test_shape_validation():
     X = rng.normal((4, 6))
     with pytest.raises(ShapeError):
         transformer_forward(rng.normal((4, 5)), params, HEADS)
-    bad = [dict(params[0], wq=rng.normal((6, 5))), params[1]]
+    bad = [dict(params[0], wqkv=rng.normal((6, 17))), params[1]]
     with pytest.raises(ShapeError):
         transformer_forward(X, bad, HEADS)
     with pytest.raises(ValidationError):
