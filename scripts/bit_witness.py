@@ -21,24 +21,26 @@ order, so only outputs made with the same thread count compare bit for
 bit. Then one JSON line per model (graph_attention, graph_attention with
 ``force_fully_connected``, self_attention, transformer and none at width
 48, and graph_attention and transformer at the default width 300; 2
-epochs, 400 synthetic examples of which 100 are held out) holds the
-loss curve as ``float.hex``, the sha256 of the parameters in sorted-name
-order, the sha256 of the held-out scores and the sha256 of the bytes of
-the saved checkpoint. Each transformer line also holds the sha256 of the
-attention traces ``transformer_traces`` exports for the first 8 held-out
-examples (every head's matrix, layer by layer) and the ``head_report_rows``
-of those traces, one ``[layer, head, colmean, rawsum, rank]`` per head with
-both scores as ``float.hex``. The next line holds the
-``run_gradcheck_suite(5, 3)`` errors as ``float.hex``, the next the
-``degeneracy_suite(200, 2024)`` maximum deviations (an all-ones mask
-vs. no mask, and vs. the loop reference) as ``float.hex``, and a last line
-the sha256 of every file a small ``attnlab`` CLI pipeline writes, sorted by
-name: gen-synthetic (80 examples), build-graph, density-report, train of
-graph_attention and of transformer with ``--emit-traces``, eval-density
-and probe-heads. The ``run_*.log`` files hold wall time and are left
-out; what the commands print is dropped. The script imports
-attnlab from the ``src`` directory next to it, so it measures the tree it
-lives in.
+epochs, 400 synthetic examples of which 100 are held out) holds the loss
+curve as ``float.hex``, the sha256 of the parameters in sorted-name
+order, the sha256 of the held-out scores, and the sha256 of the saved
+checkpoint's ``arrays`` and of its ``meta``, each hashed apart as
+canonical JSON (sorted keys, no spaces), so that a change of the
+checkpoint format alone moves only the meta hash. Each transformer line
+also holds the sha256 of the attention traces ``transformer_traces``
+exports for the first 8 held-out examples (every head's matrix, layer by
+layer) and the ``head_report_rows`` of those traces, one ``[layer, head,
+colmean, rawsum, rank]`` per head with both scores as ``float.hex``. The
+next line holds the ``run_gradcheck_suite(5, 3)`` errors as
+``float.hex``, the next the ``degeneracy_suite(200, 2024)`` maximum
+deviations (an all-ones mask vs. no mask, and vs. the loop reference) as
+``float.hex``, and a last line the sha256 of every file a small
+``attnlab`` CLI pipeline writes, sorted by name: gen-synthetic (80
+examples), build-graph, density-report, train of graph_attention and of
+transformer with ``--emit-traces``, eval-density and probe-heads. The
+``run_*.log`` files hold wall time and are left out; what the commands
+print is dropped. The script imports attnlab from the ``src`` directory
+next to it, so it measures the tree it lives in.
 """
 
 from __future__ import annotations
@@ -164,8 +166,11 @@ def witness() -> None:
                 "loss_curve": [float(x).hex() for x in report.loss_curve],
                 "params_sha256": _sha256(model.params[k] for k in sorted(model.params)),
                 "heldout_scores_sha256": _sha256([model.predict_scores(data, data.test_idx)]),
-                "checkpoint_sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
             }
+            doc = json.loads(ckpt.read_text(encoding="utf-8"))
+            for part in ("arrays", "meta"):
+                canonical = json.dumps(doc[part], sort_keys=True, separators=(",", ":"))
+                line[f"checkpoint_{part}_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
             if variant == "transformer":
                 traces = transformer_traces(model, data, data.test_idx[:TRACE_EXAMPLES])
                 line["traces_sha256"] = _sha256(

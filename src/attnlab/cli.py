@@ -43,7 +43,7 @@ from .entity_graph import (
     load_context_examples,
     quantile_partition,
 )
-from .errors import GenerationError, TrainingError, ValidationError
+from .errors import TrainingError, ValidationError
 from .head_probe import check_entity_mask, head_report_rows, load_traces, save_traces
 from .head_probe import write_head_report_csv
 from .serialize import record, write_csv, write_json
@@ -94,7 +94,7 @@ def _build_configs(args, *classes) -> list:
             cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}).validate()
             for cls in classes
         ]
-    except (ValidationError, GenerationError) as exc:
+    except ValidationError as exc:
         named = ", ".join(sources[key] for key in exc.keys if key in sources)
         raise type(exc)(f"{named}: {exc}" if named else str(exc), *exc.keys) from None
 
@@ -209,14 +209,12 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _epoch_printer(data, quantiles, epochs: int):
+def _epoch_printer():
     """``train``'s ``on_epoch``, which prints each epoch's held-out accuracy,
-    overall and per density bin, to stderr, and a function that prints the
-    last epoch's line from ``train``'s report. ``train`` closes with that
-    evaluation on the same weights, so ``on_epoch`` skips it there."""
+    overall and per density bin, to stderr."""
     last = time.perf_counter()
 
-    def line(epoch: int, loss: float, bins: list[dict], accuracy: float) -> None:
+    def on_epoch(epoch: int, loss: float, bins: list[dict], accuracy: float) -> None:
         nonlocal last
         per_bin = " ".join("-" if b["accuracy"] is None else f"{b['accuracy']:.4f}" for b in bins)
         now = time.perf_counter()
@@ -228,14 +226,7 @@ def _epoch_printer(data, quantiles, epochs: int):
         )
         last = now
 
-    def on_epoch(epoch: int, loss: float, model: TrainedModel) -> None:
-        if epoch < epochs - 1:
-            line(epoch, loss, *density_bins(model, data, data.test_idx, quantiles))
-
-    def print_last(report) -> None:
-        line(epochs - 1, report.loss_curve[-1], report.bins, report.accuracy)
-
-    return on_epoch, print_last
+    return on_epoch
 
 
 def cmd_train(args) -> int:
@@ -263,9 +254,7 @@ def cmd_train(args) -> int:
     if args.emit_traces:
         check_entity_mask(data.entity_mask)
     out = _out_dir(args)
-    on_epoch, print_last = _epoch_printer(data, quantiles, cfg.epochs)
-    model, report = train(cfg, data, quantiles, on_epoch=on_epoch)
-    print_last(report)
+    model, report = train(cfg, data, quantiles, on_epoch=_epoch_printer())
     stem = f"{cfg.variant}_seed{cfg.seed}"
     model.save(out / f"model_{stem}.json")
     write_json(report.to_json_dict(), out / f"metrics_{stem}.json")
@@ -399,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, GenerationError, TrainingError, ValueError, OSError) as exc:
+    except (ValidationError, TrainingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -102,11 +102,6 @@ def _mean_scores(traces: Sequence[AttentionTrace]) -> np.ndarray:
     return total / len(traces)
 
 
-def rank_heads(traces: Sequence[AttentionTrace]) -> list[tuple[int, int, float]]:
-    """(layer, head, colmean score averaged over examples); descending, ties by index."""
-    return [(r["layer"], r["head"], r["score_colmean"]) for r in head_report_rows(traces)]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Each context opens with a question sentence holding a single query
 mention. Exactly one context sentence (the bridge sentence) repeats the
-query's mention text and pairs it with the answer entity. On the mention
-graph this yields a unique length-2 shortest path: question mention to
-its text twin (same-mention edge), twin to the answer (same-sentence
-edge). Remaining sentences hold distractor entities whose texts never
-touch the query or answer texts, so no other node sits at distance 2.
+query's mention text and pairs it with the answer entity, so a context
+sentence needs at least two entity slots (``entities_per_sentence``). On
+the mention graph this yields a unique length-2 shortest path: question
+mention to its text twin (same-mention edge), twin to the answer
+(same-sentence edge). Remaining sentences hold distractor entities whose
+texts never touch the query or answer texts, so no other node sits at
+distance 2.
 
 Adjacency density varies across examples through two independent knobs,
 neither of which touches the reasoning path:
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .entity_graph import ContextExample, EntitySpan
-from .errors import GenerationError
+from .errors import ValidationError
 from .numerics import SeededRng
 from .serialize import read_jsonl, record, write_jsonl
 
@@ -57,27 +59,33 @@ class SyntheticTaskConfig:
     seed: int = 11
 
     def validate(self) -> "SyntheticTaskConfig":
-        for name in ("num_examples", "num_entities_pool", "entities_per_sentence"):
+        for name in ("num_examples", "num_entities_pool"):
             if getattr(self, name) < 1:
-                raise GenerationError(f"{name} must be >= 1", name)
+                raise ValidationError(f"{name} must be >= 1", name)
+        if self.entities_per_sentence < 2:
+            raise ValidationError(
+                "entities_per_sentence must be >= 2: the bridge sentence holds the "
+                "query's twin and the answer",
+                "entities_per_sentence",
+            )
         if self.sentences_per_context < 2:
-            raise GenerationError("sentences_per_context must be >= 2: question plus context",
+            raise ValidationError("sentences_per_context must be >= 2: question plus context",
                                   "sentences_per_context")
         for name in ("mention_collision_rate", "sentence_merge_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise GenerationError(f"{name} must lie in [0, 1]", name)
+                raise ValidationError(f"{name} must lie in [0, 1]", name)
         for name in ("distractor_count", "seed"):
             if getattr(self, name) < 0:
-                raise GenerationError(f"{name} must be >= 0", name)
+                raise ValidationError(f"{name} must be >= 0", name)
         capacity = (self.sentences_per_context - 2) * self.entities_per_sentence
         if self.distractor_count > capacity:
-            raise GenerationError(
+            raise ValidationError(
                 f"{self.distractor_count} distractors exceed capacity {capacity} "
                 f"({self.sentences_per_context} sentences x {self.entities_per_sentence} slots)",
                 "distractor_count", "sentences_per_context", "entities_per_sentence",
             )
         if self.num_entities_pool < 2 + self.distractor_count:
-            raise GenerationError(
+            raise ValidationError(
                 "entity pool too small to keep query and answer texts unique: "
                 f"need >= {2 + self.distractor_count}, have {self.num_entities_pool}",
                 "num_entities_pool", "distractor_count",
@@ -111,25 +119,23 @@ def _generate_one(
     # distinct base texts: query (reused by the bridge twin), answer, distractors
     base = rng.choice(cfg.num_entities_pool, size=2 + cfg.distractor_count, replace=False)
     query_text, answer_text = int(base[0]), int(base[1])
-    distractor_texts = [int(t) for t in base[2:]]
 
     bridge_sentence = int(rng.integers(1, s_total))
     distractor_sentences = [s for s in range(1, s_total) if s != bridge_sentence]
 
-    # sentence -> list of entity pool ids occupying its slots
-    slots: dict[int, list[int]] = {0: [query_text]}
+    # entity pool ids of each sentence's slots, filled from the front
+    slots: list[list[int]] = [[query_text]] + [[] for _ in range(1, s_total)]
     pair = [query_text, answer_text]  # twin of the query, then the answer
     rng.shuffle(pair)
     slots[bridge_sentence] = pair
 
-    # place distractors; (sentence, position) recorded for the collision pass
+    # distractors fill the distractor sentences in order; (sentence,
+    # position) recorded for the collision pass
     placed: list[tuple[int, int]] = []
-    remaining = list(distractor_texts)
-    for s in distractor_sentences:
-        slots[s] = []
-        while remaining and len(slots[s]) < e_per:
-            slots[s].append(remaining.pop(0))
-            placed.append((s, len(slots[s]) - 1))
+    for k, text in enumerate(base[2:]):
+        s = distractor_sentences[k // e_per]
+        slots[s].append(int(text))
+        placed.append((s, k % e_per))
 
     # cross-sentence text collisions among distractors only
     for k, (s, pos) in enumerate(placed):
@@ -143,58 +149,37 @@ def _generate_one(
 
     # fuse runs of adjacent distractor sentences; question and bridge
     # sentences always stand alone, keeping the reasoning path intact
-    group_of = list(range(s_total))
+    fused = [False] * s_total
     for s in range(1, s_total - 1):
-        if s in distractor_sentences and (s + 1) in distractor_sentences:
-            if rng.random() < cfg.sentence_merge_rate:
-                group_of[s + 1] = group_of[s]
+        if s != bridge_sentence and s + 1 != bridge_sentence:
+            fused[s + 1] = rng.random() < cfg.sentence_merge_rate
 
     tokens: list[str] = []
-    sentence_ranges: list[tuple[int, int]] = []  # per original sentence
-    entity_spans: list[tuple[int, int, str, int]] = []  # pre-merge records
-    answer_slot = -1
-    for s in range(s_total):
-        start = len(tokens)
-        entity_budget = 1 if s == 0 else e_per
-        occupants = slots.get(s, [])
-        for pos in range(entity_budget):
-            if pos < len(occupants):
-                text_id = occupants[pos]
-                first, second, mention = texts[text_id]
-                if s == bridge_sentence and text_id == answer_text:
-                    answer_slot = len(entity_spans)
-                entity_spans.append((len(tokens), len(tokens) + SPAN_TOKENS, mention, s))
-                tokens.extend([first, second])
-            else:
-                tokens.extend(_filler(rng) for _ in range(SPAN_TOKENS))
-        tokens.extend(_filler(rng) for _ in range(FILLERS_PER_SENTENCE))
-        sentence_ranges.append((start, len(tokens)))
-
-    merged_index: dict[int, int] = {}
     sentence_spans: list[tuple[int, int]] = []
+    entity_spans: list[EntitySpan] = []
     for s in range(s_total):
-        root = group_of[s]
-        if root == s:
-            merged_index[s] = len(sentence_spans)
-            sentence_spans.append(sentence_ranges[s])
-        else:
-            merged_index[s] = merged_index[root]
-            lo, _ = sentence_spans[merged_index[root]]
-            sentence_spans[merged_index[root]] = (lo, sentence_ranges[s][1])
-    final_spans = [
-        EntitySpan(start=a, end=b, mention=m, sentence_index=merged_index[s])
-        for a, b, m, s in entity_spans
-    ]
-    answer_node = answer_slot
+        # a fused sentence extends the span of the sentence before it
+        start = sentence_spans.pop()[0] if fused[s] else len(tokens)
+        for text_id in slots[s]:
+            first, second, mention = texts[text_id]
+            if text_id == answer_text:
+                answer_node = len(entity_spans)
+            entity_spans.append(
+                EntitySpan(len(tokens), len(tokens) + SPAN_TOKENS, mention, len(sentence_spans))
+            )
+            tokens += (first, second)
+        empty_slots = 0 if s == 0 else e_per - len(slots[s])
+        tokens.extend(
+            _filler(rng) for _ in range(empty_slots * SPAN_TOKENS + FILLERS_PER_SENTENCE)
+        )
+        sentence_spans.append((start, len(tokens)))
 
     example = ContextExample(
         id=f"s{cfg.seed}-ex{index:05d}",
         tokens=tokens,
         sentence_spans=sentence_spans,
-        entity_spans=final_spans,
+        entity_spans=entity_spans,
     ).validate()
-    if answer_node < 0:
-        raise GenerationError(f"example {example.id}: answer placement failed")
     return example, answer_node
 
 
@@ -224,7 +209,7 @@ def query_node_index(example: ContextExample) -> int:
     for i, sp in enumerate(example.entity_spans):
         if sp.sentence_index == 0:
             return i
-    raise GenerationError(f"example {example.id}: no entity in the question sentence")
+    raise ValidationError(f"example {example.id}: no entity in the question sentence")
 
 
 def write_dataset_jsonl(examples, path: str | Path) -> None:

@@ -609,15 +609,16 @@ def train(
     cfg: ExperimentConfig,
     data: TaskData,
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    on_epoch: Callable[[int, float, TrainedModel], None] | None = None,
+    on_epoch: Callable[[int, float, list[dict], float], None] | None = None,
 ) -> tuple[TrainedModel, MetricsReport]:
     """Deterministic Adam training; returns the model and its metrics.
 
-    ``on_epoch(epoch, mean_loss, model)``, if given, runs after each epoch.
-    Its ``model`` holds the live parameter dict, not a copy, so it predicts
-    with the weights as they stand; the callback must only read them. The
-    model's forward pass draws no random numbers, so evaluating in the
-    callback leaves every bit of the run as it is without one.
+    The held-out slice is evaluated with ``density_bins`` after the last
+    epoch, and the report holds that evaluation. ``on_epoch(epoch,
+    mean_loss, bins, accuracy)``, if given, runs after each epoch with that
+    epoch's evaluation, so a run with it evaluates after every epoch. The
+    forward pass draws no random numbers, so those evaluations leave every
+    bit of the run as it is without them.
 
     Results repeat bit for bit for a fixed BLAS thread count. OpenBLAS
     splits a large enough GEMM across its threads, which changes the order
@@ -646,9 +647,10 @@ def train(
             losses.append(_train_step(cfg, opt, data, order[lo : lo + cfg.batch_size], step))
             step += 1
         loss_curve.append(float(np.mean(losses)))
-        if on_epoch is not None:
-            on_epoch(epoch, loss_curve[-1], model)
-    bins, accuracy = density_bins(model, data, data.test_idx, quantiles)
+        if on_epoch is not None or epoch == cfg.epochs - 1:
+            bins, accuracy = density_bins(model, data, data.test_idx, quantiles)
+            if on_epoch is not None:
+                on_epoch(epoch, loss_curve[-1], bins, accuracy)
     report = MetricsReport(
         variant=cfg.variant,
         seed=cfg.seed,

@@ -155,7 +155,7 @@ def test_train_evaluates_the_held_out_slice_once_per_epoch(tmp_path, capsys, mon
     out = tmp_path / "out"
     assert main(["train", "--set", "num_examples=60", "--set", "hidden_dim=8",
                  "--set", "epochs=2", "--test-count", "20", "--out", str(out)]) == 0
-    assert len(calls) == 2  # epoch 0's, and train's closing one for epoch 1
+    assert len(calls) == 2  # train's, one after each epoch
     last = capsys.readouterr().err.splitlines()[-1]
     metrics = json.loads((out / "metrics_graph_attention_seed7.json").read_text())
     per_bin = " ".join("-" if b["accuracy"] is None else f"{b['accuracy']:.4f}"

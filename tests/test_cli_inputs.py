@@ -679,3 +679,14 @@ def test_a_cross_field_config_error_names_the_source_of_each_key(
     err = capsys.readouterr().err
     assert code == 2 and not out.exists(), err
     assert message.format(cfg=cfg) in err, err
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "train"])
+def test_a_bridge_sentence_without_room_for_the_answer_is_rejected(tmp_path, capsys, command):
+    """One slot per sentence cannot hold the query's twin beside the answer."""
+    out = tmp_path / "out"
+    code = main([command, "--set", "entities_per_sentence=1", "--set", "distractor_count=3",
+                 "--set", "num_examples=2", "--set", "seed=9", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists(), err
+    assert "--set entities_per_sentence=1: entities_per_sentence must be >= 2" in err, err

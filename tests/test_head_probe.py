@@ -9,7 +9,6 @@ from attnlab.head_probe import (
     head_entity_score,
     head_report_rows,
     load_traces,
-    rank_heads,
     save_traces,
     trace_from_json_dict,
     trace_to_json_dict,
@@ -100,14 +99,14 @@ def test_rank_heads_single_trace_and_tiebreak():
     L = 6
     mask = np.array([True, True, False, False, False, False])
     tr = make_trace(rng, 2, 3, L, mask)
-    ranked = rank_heads([tr])
+    rows = head_report_rows([tr])
     scores = {
         (li, hi): head_entity_score(tr.layers[li][hi], mask)
         for li in range(2)
         for hi in range(3)
     }
-    assert [s for _, _, s in ranked] == sorted(scores.values(), reverse=True)
-    assert len(ranked) == 6
+    assert [r["score_colmean"] for r in rows] == sorted(scores.values(), reverse=True)
+    assert [r["rank"] for r in rows] == [1, 2, 3, 4, 5, 6]
 
 
 def test_rank_heads_forced_ordering():
@@ -119,8 +118,8 @@ def test_rank_heads_forced_ordering():
     tr = AttentionTrace(
         example_id="x", layers=np.array([[uniform, focused]]), entity_mask=mask
     ).validate()
-    ranked = rank_heads([tr])
-    assert ranked[0][:2] == (0, 1)
+    top = head_report_rows([tr])[0]
+    assert (top["layer"], top["head"]) == (0, 1)
 
 
 def test_rank_heads_order_invariant_in_examples():
@@ -128,8 +127,8 @@ def test_rank_heads_order_invariant_in_examples():
     L = 5
     mask = np.array([True, True, False, False, False])
     traces = [make_trace(rng, 2, 2, L, mask, example_id=f"e{i}") for i in range(6)]
-    a = rank_heads(traces)
-    b = rank_heads(traces[::-1])
+    a = [(r["layer"], r["head"], r["score_colmean"]) for r in head_report_rows(traces)]
+    b = [(r["layer"], r["head"], r["score_colmean"]) for r in head_report_rows(traces[::-1])]
     assert a == b
 
 
@@ -149,7 +148,8 @@ def test_planted_head_recovered():
             ).validate()
             for i in range(10)
         ]
-        if rank_heads(traces)[0][:2] == planted:
+        top = head_report_rows(traces)[0]
+        if (top["layer"], top["head"]) == planted:
             hits += 1
     assert hits == 20
 

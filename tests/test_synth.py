@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from attnlab.entity_graph import build_graph, density
-from attnlab.errors import GenerationError
+from attnlab.errors import ValidationError
 from attnlab.synth import (
     SyntheticTaskConfig,
     generate_synthetic,
@@ -36,15 +38,57 @@ def test_minimal_instance_is_a_path():
         assert int(g.adjacency.sum()) == 3 + 2 * 2
 
 
+# the density knobs at their ends, with and without a spare slot in the bridge sentence
+KNOB_GRID = [
+    dict(sentence_merge_rate=merge, mention_collision_rate=collision, entities_per_sentence=slots)
+    for merge in (0.0, 1.0)
+    for collision in (0.0, 0.5, 1.0)
+    for slots in (2, 3)
+]
+
+
 def test_generated_examples_satisfy_two_hop_uniqueness():
-    cfg = SyntheticTaskConfig(num_examples=500, seed=11)
-    examples, labels = generate_synthetic(cfg)
-    for ex, label in zip(examples, labels):
-        ex.validate()
-        g = build_graph(ex)
-        dist = bfs_distances(g.adjacency, query_node_index(ex))
-        at_two = [i for i, d in enumerate(dist) if d == 2]
-        assert at_two == [label]
+    """At the default knobs and at each KNOB_GRID setting."""
+    for knobs in [{}] + KNOB_GRID:
+        examples, labels = generate_synthetic(SyntheticTaskConfig(num_examples=500, **knobs))
+        for ex, label in zip(examples, labels):
+            ex.validate()
+            g = build_graph(ex)
+            dist = bfs_distances(g.adjacency, query_node_index(ex))
+            at_two = [i for i, d in enumerate(dist) if d == 2]
+            assert at_two == [label], (knobs, ex.id)
+
+
+# sha256 of the dataset JSONL bytes followed by the labels JSONL bytes, for
+# 100 examples at each KNOB_GRID setting, then for the default config
+PINNED_SHA256 = [
+    "791e55b16fc8e285aca45ae86e9c3d3047ac557475b0ac9d825193597948c47a",
+    "f5c4fa42dfb9348d474c38f981d576fc17d29744a1b3f75f2f40d7cde612637e",
+    "7dbc7e276bff31bdfe1f1062f4b2c56f3416caec7ed658a11e84632ff8e64349",
+    "09b40d9f2465889d2aa0b738fd6b3ada359370cc1d546dcbda533de7f1dad320",
+    "e1ee652153132600d5265f8260a93be1394c140370266c1fe740d51dcc435434",
+    "7428618f2e6500211feb82ff4aff9c52b43a599bfc7cb62338b92b5e8582f444",
+    "ca8f7046c6cac3bee89774c8a32e7047e542e6932d95ffaa8b77af573afd1375",
+    "f37ec5585a5080a4105cac538fbfb4a3275936265d65abe55dd590336976b3f2",
+    "85e34856ba87c2b7af7b3a7822c9d913a931965b4350984188332ebb09da55b5",
+    "e8b70de00f08d96d202565ca06303542e44570e89375c5dc8e52c52421438ea2",
+    "2257e842153863f76e1379bf9546a434553279942aebcd5790bf287fad3c552c",
+    "86302cd514c2f0250e8b8c224d4d9600065532bbbbc521e97cba2d2e12501f06",
+    "ddbb41ed00d0779a2e0fc47d7c5457978259e9ad2cd08978cbd682d7295f85f0",
+]
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    """The generator's output stays byte for byte what it was when pinned."""
+    cfgs = [SyntheticTaskConfig(num_examples=100, **knobs) for knobs in KNOB_GRID]
+    data, labels = tmp_path / "data.jsonl", tmp_path / "labels.jsonl"
+    digests = []
+    for cfg in cfgs + [SyntheticTaskConfig()]:
+        examples, answers = generate_synthetic(cfg)
+        write_dataset_jsonl(examples, data)
+        write_labels_jsonl(examples, answers, labels)
+        digests.append(hashlib.sha256(data.read_bytes() + labels.read_bytes()).hexdigest())
+    assert digests == PINNED_SHA256
 
 
 def test_same_seed_byte_identical_dataset(tmp_path):
@@ -96,14 +140,18 @@ def test_answer_position_not_constant():
 
 
 def test_infeasible_configs_rejected():
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValidationError):
         SyntheticTaskConfig(num_entities_pool=3, distractor_count=6).validate()
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValidationError):
         SyntheticTaskConfig(sentences_per_context=2, distractor_count=1).validate()
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValidationError):
         SyntheticTaskConfig(mention_collision_rate=1.5).validate()
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValidationError):
         SyntheticTaskConfig(sentences_per_context=1).validate()
+    # the bridge sentence holds the query's twin and the answer
+    with pytest.raises(ValidationError, match="entities_per_sentence must be >= 2") as exc:
+        SyntheticTaskConfig(entities_per_sentence=1, distractor_count=3).validate()
+    assert exc.value.keys == ("entities_per_sentence",)
 
 
 def test_labels_roundtrip(tmp_path):

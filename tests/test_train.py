@@ -398,17 +398,21 @@ def test_evaluate_by_density_on_fresh_examples():
 
 
 def test_on_epoch_sees_every_epoch_and_the_live_weights():
+    """Epoch k's evaluation is that of a run that stops after epoch k."""
     data = small_data(n=60, n_test=20)
     seen = []
 
-    def on_epoch(epoch, loss, model):
-        seen.append((epoch, loss, model.predict_scores(data, data.test_idx)))
+    def on_epoch(epoch, loss, bins, accuracy):
+        seen.append((epoch, loss, bins, accuracy))
 
-    model, report = train(small_cfg("graph_attention", epochs=3), data, on_epoch=on_epoch)
-    assert [e for e, _, _ in seen] == [0, 1, 2]
-    assert [loss for _, loss, _ in seen] == report.loss_curve
-    assert np.array_equal(seen[-1][2], model.predict_scores(data, data.test_idx))
-    assert not np.array_equal(seen[0][2], seen[-1][2])
+    _, report = train(small_cfg("graph_attention", epochs=3), data, on_epoch=on_epoch)
+    assert [e for e, _, _, _ in seen] == [0, 1, 2]
+    assert [loss for _, loss, _, _ in seen] == report.loss_curve
+    assert len({accuracy for _, _, _, accuracy in seen}) == 3  # the weights move
+    for epoch, _, bins, accuracy in seen:
+        _, stopped = train(small_cfg("graph_attention", epochs=epoch + 1), data)
+        assert (bins, accuracy) == (stopped.bins, stopped.accuracy), epoch
+    assert (seen[-1][2], seen[-1][3]) == (report.bins, report.accuracy)
 
 
 @pytest.mark.parametrize("variant", ["graph_attention", "transformer"])
@@ -416,9 +420,7 @@ def test_evaluating_every_epoch_changes_no_bit(variant):
     data = small_data(n=80, n_test=30)
     cfg = small_cfg(variant, epochs=3)
     plain, plain_report = train(cfg, data)
-    watched, watched_report = train(
-        cfg, data, on_epoch=lambda epoch, loss, model: density_bins(model, data, data.test_idx)
-    )
+    watched, watched_report = train(cfg, data, on_epoch=lambda epoch, loss, bins, accuracy: None)
     assert watched_report.loss_curve == plain_report.loss_curve
     assert sorted(watched.params) == sorted(plain.params)
     for k in plain.params:
