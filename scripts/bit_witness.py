@@ -37,10 +37,9 @@ deviations (an all-ones mask vs. no mask, and vs. the loop reference) as
 ``float.hex``, and a last line the sha256 of every file a small
 ``attnlab`` CLI pipeline writes, sorted by name: gen-synthetic (80
 examples), build-graph, density-report, train of graph_attention and of
-transformer with ``--emit-traces``, eval-density and probe-heads. The
-``run_*.log`` files hold wall time and are left out; what the commands
-print is dropped. The script imports attnlab from the ``src`` directory
-next to it, so it measures the tree it lives in.
+transformer with ``--emit-traces``, eval-density and probe-heads; what
+the commands print is dropped. The script imports attnlab from the
+``src`` directory next to it, so it measures the tree it lives in.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ def _cli_artifacts(out: Path) -> dict[str, str]:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.iterdir())
-        if not p.name.startswith("run_")
     }
 
 

@@ -23,7 +23,7 @@ from .fusion import (
     fusion_block_backward,
     fusion_block_forward,
 )
-from .head_probe import AttentionTrace, head_entity_score, head_report_rows
+from .head_probe import AttentionTrace, head_report_rows, head_scores
 from .numerics import Matrix, SeededRng, finite_diff_grad, leaky_relu, relu
 from .synth import SyntheticTaskConfig, generate_synthetic
 from .train import ExperimentConfig, MetricsReport, TrainedModel

@@ -10,8 +10,10 @@ quantile partitions of density populations.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -182,7 +184,7 @@ class DensityReport:
         }
 
     def write_csv(self, path: str | Path) -> None:
-        rows = ([b.quantile, repr(b.boundary_density), b.size] for b in self.bins)
+        rows = ([b.quantile, b.boundary_density, b.size] for b in self.bins)
         write_csv(path, ["quantile", "boundary_density", "bin_size"], rows)
 
 
@@ -204,10 +206,12 @@ def quantile_partition(
 ) -> DensityReport:
     """Partition a density population by nearest-rank quantiles.
 
-    Boundary for quantile q is ``sorted_densities[ceil(q*n) - 1]``. Bin k
-    holds the sorted positions between consecutive ranks, so bins always
-    partition the input even under ties. A final quantile of 1.0 is
-    appended when absent so the partition is exhaustive.
+    Boundary for quantile q is ``sorted_densities[ceil(q*n) - 1]``, with
+    ``q*n`` exact for q as written (its shortest decimal): 0.07 of 100
+    examples is rank 7, where the float product 7.000000000000001 gives
+    8. Bin k holds the sorted positions between consecutive ranks, so bins
+    always partition the input even under ties. A final quantile of 1.0
+    is appended when absent so the partition is exhaustive.
     """
     n = len(densities)
     if n == 0:
@@ -225,7 +229,7 @@ def quantile_partition(
     bins = []
     prev_rank = 0
     for q in qs:
-        rank = int(np.ceil(q * n))
+        rank = math.ceil(Fraction(repr(q)) * n)
         boundary = sorted_d[rank - 1]
         members = [str(ids[order[i]]) for i in range(prev_rank, rank)]
         bins.append(DensityBin(quantile=q, boundary_density=boundary, example_ids=members))

@@ -4,10 +4,11 @@ A trace holds one example's attention as one float64 array of shape
 ``(layers, heads, L, L)``, and every head of it is scored in one pass.
 A head's score contrasts the absolute attention mass arriving at
 entity-token columns against the mass arriving at the remaining columns.
-The default uses per-column-group means so that masks with many entity
-tokens do not trivially score high; the raw-sum variant (no averaging)
-is available and reported alongside. Scores read the columns (keys):
-every row of a trace sums to one, so row totals carry no signal.
+``head_scores`` gives each head both scores: colmean, which ranks the
+heads, uses per-column-group means so that masks with many entity tokens
+do not trivially score high; rawsum (no averaging) is reported
+alongside. Scores read the columns (keys): every row of a trace sums to
+one, so row totals carry no signal.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .serialize import read_jsonl, record, write_csv, write_jsonl
+from .serialize import read_jsonl, record, write_jsonl
 
 ROW_SUM_TOL = 1e-6
-MODES = ("colmean", "rawsum")
 
 
 def check_entity_mask(entity_mask: np.ndarray) -> np.ndarray:
@@ -63,9 +63,16 @@ class AttentionTrace:
         return self
 
 
-def _scores(A: np.ndarray, entity_mask: np.ndarray) -> np.ndarray:
-    """(len(MODES), ...): each mode's score of every (L, L) matrix of ``A``."""
-    mask = check_entity_mask(entity_mask)
+def head_scores(A: np.ndarray, entity_mask: np.ndarray) -> np.ndarray:
+    """(2, ...): the colmean and rawsum scores of each (L, L) matrix over the
+    last two axes of ``A``; leading axes are kept.
+
+    Both take the entity columns' incoming mass minus the other columns'.
+    colmean averages the per-column totals inside each group; rawsum adds
+    them up without averaging.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    mask = check_entity_mask(np.asarray(entity_mask, dtype=bool))
     if A.ndim < 2 or A.shape[-2:] != (mask.size, mask.size):
         raise ShapeError(f"expected (..., {mask.size}, {mask.size}) matrices, got {A.shape}")
     col_totals = np.abs(A).sum(axis=-2)
@@ -76,29 +83,17 @@ def _scores(A: np.ndarray, entity_mask: np.ndarray) -> np.ndarray:
     return np.stack([ent.mean(axis=-1) - rest.mean(axis=-1), ent.sum(axis=-1) - rest.sum(axis=-1)])
 
 
-def head_entity_score(A: np.ndarray, entity_mask: np.ndarray, mode: str = "colmean") -> np.ndarray:
-    """Entity-column incoming mass minus non-entity-column mass of each
-    (L, L) matrix over the last two axes of ``A``; leading axes are kept.
-
-    mode "colmean" averages the per-column totals inside each group;
-    "rawsum" adds them up without averaging.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    scores = _scores(np.asarray(A, dtype=np.float64), np.asarray(entity_mask, dtype=bool))
-    return scores[MODES.index(mode)]
-
-
 def _mean_scores(traces: Sequence[AttentionTrace]) -> np.ndarray:
-    """(len(MODES), layers, heads): each head's scores averaged over the traces."""
+    """(2, layers, heads): each head's scores averaged over the traces, added
+    in ``example_id`` order so that the traces' order moves no bit."""
     if not traces:
         raise ValueError("head scores need at least one trace")
     shape = traces[0].layers.shape[:2]
-    total = np.zeros((len(MODES), *shape))
-    for tr in traces:
+    total = np.zeros((2, *shape))
+    for tr in sorted(traces, key=lambda t: t.example_id):
         if tr.layers.shape[:2] != shape:
             raise ShapeError("traces disagree on layer/head geometry")
-        total += _scores(tr.layers, tr.entity_mask)
+        total += head_scores(tr.layers, tr.entity_mask)
     return total / len(traces)
 
 
@@ -145,7 +140,8 @@ def load_traces(path: str | Path) -> list[AttentionTrace]:
 
 
 def head_report_rows(traces: Sequence[AttentionTrace]) -> list[dict]:
-    """Per-head report with both scoring modes; rank follows colmean."""
+    """Per-head report with both scores; rank follows colmean. Each row's
+    keys, in order, are the head report's CSV header."""
     colmean, rawsum = _mean_scores(traces)
     ranked = sorted(np.ndindex(colmean.shape), key=lambda lh: (-colmean[lh], lh))
     return [
@@ -153,12 +149,3 @@ def head_report_rows(traces: Sequence[AttentionTrace]) -> list[dict]:
              score_rawsum=float(rawsum[li, hi]), rank=rank)
         for rank, (li, hi) in enumerate(ranked, start=1)
     ]
-
-
-def write_head_report_csv(rows: Sequence[dict], path: str | Path) -> None:
-    write_csv(
-        path,
-        ["layer", "head", "score_colmean", "score_rawsum", "rank"],
-        ([r["layer"], r["head"], repr(r["score_colmean"]), repr(r["score_rawsum"]), r["rank"]]
-         for r in rows),
-    )

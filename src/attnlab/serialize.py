@@ -4,7 +4,11 @@
   document: ``meta`` plus ``arrays``, a flat object mapping parameter
   names to shape plus base64-encoded little-endian float64 payloads.
 - JSONL: one JSON object per line (``write_jsonl``, ``read_jsonl``).
-- CSV: one header row, then the data rows (``write_csv``).
+- CSV: one header row, then the data rows (``write_csv``), which is the
+  one place a cell is rendered: row builders pass values, not text. A
+  float, numpy's included, prints as its shortest round-trip ``repr``, so
+  ``float(cell)`` gives the value back; ``None`` prints as an empty cell.
+  In a row of one field ``None`` prints as ``""``; no artifact has one.
 
 Every text file ends each line, and the file itself, in ``\\n``.
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -525,26 +524,15 @@ class MetricsReport:
     accuracy: float
     bins: list[dict]
     loss_curve: list[float]
-    wall_clock_seconds: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "bins": self.bins,
-            "loss_curve": self.loss_curve,
-            # wall clock is run-dependent; artifacts stay byte-reproducible
-            "wall_clock_seconds": None,
-        }
+        # wall time is run-dependent: the key stays null so artifacts repeat byte for byte
+        return {**asdict(self), "wall_clock_seconds": None}
 
     def write_csv(self, path: str | Path) -> None:
-        rows = [["variant", self.variant], ["seed", self.seed], ["accuracy", repr(self.accuracy)]]
-        rows += [[f"epoch_{i}_loss", repr(loss)] for i, loss in enumerate(self.loss_curve)]
-        rows += [
-            [f"bin_q{b['quantile']}_accuracy", "" if b["accuracy"] is None else repr(b["accuracy"])]
-            for b in self.bins
-        ]
+        rows = [["variant", self.variant], ["seed", self.seed], ["accuracy", self.accuracy]]
+        rows += [[f"epoch_{i}_loss", loss] for i, loss in enumerate(self.loss_curve)]
+        rows += [[f"bin_q{b['quantile']}_accuracy", b["accuracy"]] for b in self.bins]
         write_csv(path, ["metric", "value"], rows)
 
 
@@ -631,7 +619,6 @@ def train(
     if data.n_test < 1:
         raise ValidationError("training needs a held-out slice")
     _reuse_freed_pages()
-    started = time.perf_counter()
     rng = SeededRng(cfg.seed)
     params = init_model_params(cfg, data, rng.split(100))
     model = TrainedModel(cfg=cfg, params=params, vocab=data.vocab, assignment=data.assignment)
@@ -657,7 +644,6 @@ def train(
         accuracy=accuracy,
         bins=bins,
         loss_curve=loss_curve,
-        wall_clock_seconds=time.perf_counter() - started,
     )
     return model, report
 

@@ -8,6 +8,7 @@ checks.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -62,12 +63,12 @@ def bfs_distances(adjacency: np.ndarray, start: int) -> list[int]:
 
 
 def nearest_rank_boundaries(densities, quantiles):
-    """Sort-then-index boundaries: sorted[ceil(q*n) - 1]."""
-    import math
-
+    """Sort-then-index boundaries: sorted[ceil(q*n) - 1], the rank in integer
+    arithmetic on q as written (its shortest decimal), num/den."""
     s = sorted(float(d) for d in densities)
     n = len(s)
-    return [s[math.ceil(q * n) - 1] for q in quantiles]
+    ratios = [Fraction(repr(float(q))).as_integer_ratio() for q in quantiles]
+    return [s[-(-num * n // den) - 1] for num, den in ratios]
 
 
 def loop_meanmax(C, spans):

@@ -89,6 +89,21 @@ def test_gen_synthetic_with_config_and_overrides(tmp_path):
     assert len(data.read_text().splitlines()) == 80
 
 
+def assert_csv_cells_are_json_values(path: Path, rows: list[list]) -> int:
+    """Each data cell of ``path`` against its JSON value in ``rows``: a float
+    cell reads back equal, an empty cell is a null and a null an empty cell,
+    any other cell is the value's text. Returns the number of nulls."""
+    got = list(csv.reader(path.read_text().splitlines()))[1:]
+    assert [len(r) for r in got] == [len(r) for r in rows]
+    for cell, value in zip((c for r in got for c in r), (v for r in rows for v in r)):
+        assert (cell == "") == (value is None), (cell, value)
+        if type(value) is float:
+            assert float(cell) == value, (cell, value)
+        elif value is not None:
+            assert cell == str(value), (cell, value)
+    return sum(v is None for r in rows for v in r)
+
+
 def test_train_eval_probe_pipeline(tmp_path):
     data, labs = small_dataset(tmp_path, n=60)
     out = tmp_path / "out"
@@ -97,30 +112,42 @@ def test_train_eval_probe_pipeline(tmp_path):
         "variant=transformer hops=2 hidden_dim=16 num_heads=2 epochs=1 "
         "batch_size=16 seed=5 learning_rate=0.001",
     )
+    # 0.01 and 0.015 of 20 or 60 examples share rank 1, so the second bin is empty
+    quantiles = ["--quantiles", "0.01,0.015,0.5,1.0"]
     rc = main([
         "train", "--config", str(cfg), "--dataset", str(data), "--labels", str(labs),
-        "--test-count", "20", "--emit-traces", "4", "--out", str(out),
+        "--test-count", "20", "--emit-traces", "4", "--out", str(out), *quantiles,
     ])
     assert rc == 0
     metrics = json.loads((out / "metrics_transformer_seed5.json").read_text())
     assert metrics["wall_clock_seconds"] is None
     assert 0.0 <= metrics["accuracy"] <= 1.0
-    assert (out / "metrics_transformer_seed5.csv").exists()
+    assert assert_csv_cells_are_json_values(out / "metrics_transformer_seed5.csv", [
+        ["variant", metrics["variant"]], ["seed", metrics["seed"]],
+        ["accuracy", metrics["accuracy"]],
+        *([f"epoch_{i}_loss", x] for i, x in enumerate(metrics["loss_curve"])),
+        *([f"bin_q{b['quantile']}_accuracy", b["accuracy"]] for b in metrics["bins"]),
+    ]) == 1
 
     rc = main([
         "eval-density", "--model", str(out / "model_transformer_seed5.json"),
-        "--dataset", str(data), "--labels", str(labs), "--out", str(out),
+        "--dataset", str(data), "--labels", str(labs), "--out", str(out), *quantiles,
     ])
     assert rc == 0
     doc = json.loads((out / "density_eval.json").read_text())
     assert sum(b["size"] for b in doc["bins"]) == 60
+    assert assert_csv_cells_are_json_values(out / "density_eval.csv", [
+        [b["quantile"], b["boundary_density"], b["size"], b["accuracy"]] for b in doc["bins"]
+    ]) == 1
 
     rc = main(["probe-heads", "--traces", str(out / "traces_transformer_seed5.jsonl"),
                "--out", str(out)])
     assert rc == 0
     rows = json.loads((out / "head_report.json").read_text())["heads"]
     assert len(rows) == 4  # 2 layers x 2 heads
-    assert (out / "head_report.csv").read_text().startswith("layer,head,")
+    header = ["layer", "head", "score_colmean", "score_rawsum", "rank"]
+    assert (out / "head_report.csv").read_text().startswith(",".join(header) + "\n")
+    assert_csv_cells_are_json_values(out / "head_report.csv", [[r[k] for k in header] for r in rows])
 
 
 def test_train_prints_held_out_accuracy_by_bin_each_epoch(tmp_path, capsys):
@@ -472,8 +499,7 @@ def test_cli_artifacts_are_deterministic(tmp_path):
         (tmp_path / name).mkdir()
         out = tmp_path / name / "out"
         _run_every_writer(out)
-        runs.append({p.name: p.read_bytes() for p in out.iterdir()
-                     if not p.name.startswith("run_")})
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sorted(runs[0]) == sorted(runs[1])
     assert {name.rsplit(".", 1)[1] for name in runs[0]} == {"json", "jsonl", "csv"}
     assert len(runs[0]) == 19, sorted(runs[0])  # every file the nine commands write

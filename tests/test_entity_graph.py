@@ -166,14 +166,17 @@ def test_quantile_partition_constant_input():
 
 def test_quantile_partition_matches_nearest_rank_oracle():
     rng = np.random.default_rng(9)
-    qs = [0.2, 0.4, 0.6, 0.8, 1.0]
-    for _ in range(1000):
-        densities = rng.random(int(rng.integers(1, 120))).tolist()
-        report = quantile_partition(densities, qs)
-        want = nearest_rank_boundaries(densities, qs)
-        got = [b.boundary_density for b in report.bins]
-        assert got == want
-        assert sum(b.size for b in report.bins) == len(densities)
+    # in floats 0.07 * 100 and 0.28 * 25 exceed 7, whose ceiling is 8
+    for qs in ([0.2, 0.4, 0.6, 0.8, 1.0], [0.07, 0.14, 0.28, 0.56, 1.0]):
+        for _ in range(1000):
+            densities = rng.random(int(rng.integers(1, 120))).tolist()
+            report = quantile_partition(densities, qs)
+            want = nearest_rank_boundaries(densities, qs)
+            got = [b.boundary_density for b in report.bins]
+            assert got == want
+            assert sum(b.size for b in report.bins) == len(densities)
+    assert quantile_partition(list(range(100)), [0.07, 1.0]).bins[0].size == 7
+    assert quantile_partition(list(range(25)), [0.28, 1.0]).bins[0].size == 7
 
 
 def test_quantile_partition_bins_partition_ids():

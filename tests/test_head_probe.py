@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from attnlab.errors import ValidationError
 from attnlab.head_probe import (
     AttentionTrace,
-    head_entity_score,
     head_report_rows,
+    head_scores,
     load_traces,
     save_traces,
     trace_from_json_dict,
@@ -27,7 +27,7 @@ def test_uniform_matrix_scores_zero():
     for k in (1, 3, 5):
         mask = np.zeros(L, dtype=bool)
         mask[:k] = True
-        assert head_entity_score(A, mask) == pytest.approx(0.0, abs=1e-12)
+        assert head_scores(A, mask)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concentrated_attention_is_maximal():
@@ -36,11 +36,11 @@ def test_concentrated_attention_is_maximal():
     A[:, target] = 1.0
     mask = np.zeros(L, dtype=bool)
     mask[target] = True
-    score = head_entity_score(A, mask)
+    score = head_scores(A, mask)[0]
     assert score == pytest.approx(L / 1.0)  # all mass on the single entity column
     rng = np.random.default_rng(0)
     for _ in range(50):
-        assert head_entity_score(random_stochastic(rng, L), mask) <= score + 1e-9
+        assert head_scores(random_stochastic(rng, L), mask)[0] <= score + 1e-9
 
 
 def test_matches_double_loop_oracle():
@@ -50,7 +50,7 @@ def test_matches_double_loop_oracle():
         A = random_stochastic(rng, L)
         mask = np.zeros(L, dtype=bool)
         mask[rng.choice(L, size=3, replace=False)] = True
-        got = head_entity_score(A, mask)
+        got = head_scores(A, mask)[0]
         assert got == pytest.approx(loop_head_entity_score(A, mask), abs=1e-12)
 
 
@@ -58,17 +58,16 @@ def test_rawsum_mode_differs_and_is_reported():
     rng = np.random.default_rng(2)
     A = random_stochastic(rng, 8)
     mask = np.array([True] * 6 + [False] * 2)
-    colmean = head_entity_score(A, mask, mode="colmean")
-    rawsum = head_entity_score(A, mask, mode="rawsum")
+    colmean, rawsum = head_scores(A, mask)
     assert rawsum != pytest.approx(colmean)
 
 
 def test_degenerate_masks_rejected():
     A = np.full((4, 4), 0.25)
     with pytest.raises(ValueError):
-        head_entity_score(A, np.ones(4, dtype=bool))
+        head_scores(A, np.ones(4, dtype=bool))
     with pytest.raises(ValueError):
-        head_entity_score(A, np.zeros(4, dtype=bool))
+        head_scores(A, np.zeros(4, dtype=bool))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -81,8 +80,8 @@ def test_score_invariant_under_simultaneous_permutation(seed):
     if mask.all() or not mask.any():
         return
     perm = rng.permutation(L)
-    a = head_entity_score(A, mask)
-    b = head_entity_score(A[np.ix_(perm, perm)], mask[perm])
+    a = head_scores(A, mask)
+    b = head_scores(A[np.ix_(perm, perm)], mask[perm])
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -101,7 +100,7 @@ def test_rank_heads_single_trace_and_tiebreak():
     tr = make_trace(rng, 2, 3, L, mask)
     rows = head_report_rows([tr])
     scores = {
-        (li, hi): head_entity_score(tr.layers[li][hi], mask)
+        (li, hi): head_scores(tr.layers[li][hi], mask)[0]
         for li in range(2)
         for hi in range(3)
     }
@@ -127,9 +126,7 @@ def test_rank_heads_order_invariant_in_examples():
     L = 5
     mask = np.array([True, True, False, False, False])
     traces = [make_trace(rng, 2, 2, L, mask, example_id=f"e{i}") for i in range(6)]
-    a = [(r["layer"], r["head"], r["score_colmean"]) for r in head_report_rows(traces)]
-    b = [(r["layer"], r["head"], r["score_colmean"]) for r in head_report_rows(traces[::-1])]
-    assert a == b
+    assert head_report_rows(traces) == head_report_rows(traces[::-1])
 
 
 def test_planted_head_recovered():
