@@ -37,6 +37,13 @@ the shapes it relies on where the weights enter.
 Internally every operation is batched over a leading axis; the public
 single-example API wraps batch size 1. The trainer reuses the batched
 internals directly.
+
+A backward consumes its cache. ``transformer_batch_backward`` takes each
+layer's entry off the cache as it goes and frees each activation once it
+has been read, so a cache back-propagates once, and a step's live memory
+shrinks as its backward descends instead of holding every layer to the
+end. The FFN caches its preactivation alone; the backward recomputes
+the ReLU from it.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ from .numerics import (
     leaky_relu_grad,
     mean_along,
     relu,
-    relu_grad_mask,
 )
 
 
@@ -193,7 +199,7 @@ def graph_attention_batch_backward(
     a_src = cache.attn_vec[:dW]
     a_dst = cache.attn_vec[dW:]
 
-    d_agg = d_out_states * relu_grad_mask(cache.agg)
+    d_agg = d_out_states * (cache.agg > 0.0)
     d_beta, dg = _attend_backward(cache.alpha, cache.g, d_agg)
     d_pre = d_beta * leaky_relu_grad(cache.pre, cache.leaky_slope)
 
@@ -368,15 +374,14 @@ def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
 def _ffn_forward(x, lp: dict):
     pre = _flat_mm(x, lp["w1"])
     pre += lp["b1"]
-    hidden = relu(pre)
-    out = _flat_mm(hidden, lp["w2"])
+    out = _flat_mm(relu(pre), lp["w2"])
     out += lp["b2"]
-    return out, (x, pre, hidden)
+    return out, (x, pre)
 
 
 def _ffn_backward(d_out, ffn_cache, lp: dict):
-    x, pre, hidden = ffn_cache
-    d_w2 = _outer_grad(hidden, d_out)
+    x, pre = ffn_cache
+    d_w2 = _outer_grad(relu(pre), d_out)  # the forward's hidden, recomputed
     d_b2 = d_out.sum(axis=(0, 1))
     d_pre = _flat_mm(d_out, lp["w2"].T)  # d_hidden
     d_pre *= pre > 0.0
@@ -429,26 +434,38 @@ def transformer_batch_forward(
 
 def transformer_batch_backward(cache, d_out: np.ndarray):
     """Returns (dX, per-layer dict of parameter gradients); ``d_out`` has
-    the forward's output rows, dX all L."""
+    the forward's output rows, dX all L.
+
+    The backward consumes the cache: it pops each layer's entry off the
+    cache's list, top layer first, and drops each sub-cache and each spent
+    cotangent once its last reader has run, so a layer's activations are
+    freed before the layer below starts. A cache back-propagates once.
+    """
     layers, num_heads, layer_caches = cache
     grads: list[dict[str, np.ndarray]] = []
     dx = d_out
-    for lp, (mha_c, ln1c, ffn_c, ln2c) in zip(reversed(layers), reversed(layer_caches)):
+    for lp in reversed(layers):
+        mha_c, ln1c, ffn_c, ln2c = layer_caches.pop()
         g: dict[str, np.ndarray] = {}
         # x_next = ln2(x1 + ffn(x1))
         d_r2, g["ln2_gain"], g["ln2_bias"] = _layernorm_backward(dx, ln2c)
+        del ln2c, dx
         d_x1, ffn_g = _ffn_backward(d_r2, ffn_c, lp)
+        del ffn_c
         g.update(ffn_g)
         d_x1 += d_r2
+        del d_r2
         # x1 = ln1(x + mha(x))
         d_r1, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_x1, ln1c)
+        del ln1c, d_x1
+        rows = mha_c[2]
         dx, mha_g = _mha_backward(d_r1, mha_c, lp, num_heads)
         g.update(mha_g)
-        rows = mha_c[2]
         if rows is None:
             dx += d_r1
         else:
             dx[:, rows] += d_r1
+        del d_r1
         grads.append(g)
     grads.reverse()
     return dx, grads

@@ -50,7 +50,7 @@ from .attention import (
 )
 from .entity_graph import ContextExample
 from .errors import ShapeError, ValidationError
-from .numerics import Matrix, SeededRng, mean_along, relu, relu_grad_mask
+from .numerics import Matrix, SeededRng, mean_along, relu
 
 
 class SpanAssignment:
@@ -174,7 +174,7 @@ def unpool_batch_forward(
 
 def unpool_batch_backward(cache: UnpoolCache, d_out: np.ndarray):
     d = cache.C.shape[2]
-    d_pre = d_out * relu_grad_mask(cache.pre)
+    d_pre = d_out * (cache.pre > 0.0)
     d_nm = np.matmul(cache.assignment.averaging.T, d_pre)  # (N,L) @ (B,L,d)
     d_mix = np.concatenate([_outer_grad(cache.C, d_pre), _outer_grad(cache.nodes, d_nm)])
     dC = _flat_mm(d_pre, cache.mix[:d].T)
@@ -224,12 +224,21 @@ def fusion_batch_forward(
 
 
 def fusion_batch_backward(hop_caches, d_out: np.ndarray):
-    """Returns (dC, grads) where grads holds one dict per hop."""
+    """Returns (dC, grads) where grads holds one dict per hop.
+
+    The backward consumes ``hop_caches``: it pops each hop's entry off the
+    list, last hop first, and drops each sub-cache and spent cotangent once
+    its last reader has run, so a hop's activations are freed before the
+    hop below starts. A cache back-propagates once.
+    """
     per_hop = []
     dx = d_out
-    for pool_c, att_c, unpool_c in reversed(hop_caches):
+    while hop_caches:
+        pool_c, att_c, unpool_c = hop_caches.pop()
         dC_direct, d_nodes_upd, d_mix = unpool_batch_backward(unpool_c, dx)
+        del unpool_c, dx
         d_nodes, d_proj, d_vec = graph_attention_batch_backward(att_c, d_nodes_upd)
+        del att_c, d_nodes_upd
         dx = dC_direct + pool_batch_backward(pool_c, d_nodes)
         per_hop.append({"proj": d_proj, "attn_vec": d_vec, "mix": d_mix})
     per_hop.reverse()

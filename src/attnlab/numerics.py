@@ -45,11 +45,6 @@ def leaky_relu(x, slope: float = 0.2):
     return float(out) if out.ndim == 0 else out
 
 
-def relu_grad_mask(pre: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is 0
-    return (pre > 0.0).astype(np.float64)
-
-
 def leaky_relu_grad(pre: np.ndarray, slope: float) -> np.ndarray:
     # derivative at exactly 0 takes the negative-side slope
     return np.where(pre > 0.0, 1.0, slope)

@@ -1,0 +1,52 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parent.parent / "scripts" / "ab.py"
+)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def test_quartiles_interpolate_inclusively():
+    assert ab.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_pairs_won_follow_the_better_direction_and_ties_count_for_neither():
+    before = [10.0, 10.0, 10.0, 10.0]
+    after = [9.0, 10.0, 11.0, 8.0]
+    assert ab.pairs_won(before, after, "lower") == 2
+    assert ab.pairs_won(before, after, "higher") == 1
+
+
+@pytest.mark.parametrize("better, after, worse", [
+    ("lower", 125.0, False),  # exactly at the bound
+    ("lower", 125.1, True),
+    ("lower", 50.0, False),
+    ("higher", 75.0, False),
+    ("higher", 74.9, True),
+    ("higher", 200.0, False),
+])
+def test_worse_beyond_bound_is_relative_to_the_before_median(better, after, worse):
+    assert ab.worse_beyond_bound(100.0, after, better, 0.25) is worse
+
+
+def test_table_has_one_row_per_metric_with_its_statistics():
+    metrics = [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.08},
+        {"name": "train_examples_per_s", "unit": "examples/s", "better": "higher", "bound": 0.25},
+    ]
+    before = [{"peak_rss_mb": v, "train_examples_per_s": t}
+              for v, t in [(145.0, 220.0), (144.8, 240.0), (144.9, 260.0)]]
+    after = [{"peak_rss_mb": v, "train_examples_per_s": t}
+             for v, t in [(122.5, 250.0), (122.6, 240.0), (160.0, 150.0)]]
+    header, rule, rss, train = ab.table(metrics, before, after, "parent")
+    assert header.count("|") == rule.count("|") == rss.count("|") == train.count("|") == 7
+    assert rss == ("| peak_rss_mb (MB, lower is better) | 144.9 [144.85, 144.95] "
+                   "| 122.6 [122.55, 141.3] | 2 of 3 | 0.1 | no (bound 8%) |")
+    assert train == ("| train_examples_per_s (examples/s, higher is better) | 240 [230, 250] "
+                     "| 240 [195, 245] | 1 of 3 | 20 | no (bound 25%) |")

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from attnlab.entity_graph import build_graph
 from attnlab.errors import ValidationError
 from attnlab.numerics import SeededRng, finite_diff_grad, relative_error
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic
@@ -365,6 +366,41 @@ def test_a_steps_cache_is_dead_before_the_next_forward(monkeypatch, variant):
     assert len(alive) >= 4 and not any(alive)
 
 
+def _top_layer_arrays(variant, body_cache):
+    """Layer or hop 1's attention weights and ReLU preactivation, taken out
+    in a call of its own so that no local of the test keeps them alive."""
+    if variant == "transformer":
+        mha_c, _, ffn_c, _ = body_cache[2][1]
+        return [mha_c[6], ffn_c[1]]
+    _, att_c, unpool_c = body_cache[1]
+    return [att_c.alpha, unpool_c.pre]
+
+
+@pytest.mark.parametrize("variant", ["transformer", "graph_attention"])
+def test_backward_frees_each_layers_cache_before_the_next(monkeypatch, variant):
+    module, name = {
+        "transformer": ("attnlab.attention", "_mha_backward"),
+        "graph_attention": ("attnlab.fusion", "graph_attention_batch_backward"),
+    }[variant]
+    cfg = small_cfg(variant, hops=2)
+    data = small_data(n=20, n_test=4)
+    params = init_model_params(cfg, data, SeededRng(cfg.seed))
+    batch = data.train_idx[:8]
+    scores, cache = model_forward(cfg, params, data, batch)
+    refs = [weakref.ref(a) for a in _top_layer_arrays(variant, cache[2])]
+    inner = getattr(sys.modules[module], name)
+    alive = []  # per call, top layer first: which of layer 1's arrays are alive
+
+    def wrapped(*args):
+        alive.append([ref() is not None for ref in refs])
+        return inner(*args)
+
+    monkeypatch.setattr(sys.modules[module], name, wrapped)
+    _, d_scores = softmax_cross_entropy(scores, data.labels[batch])
+    model_backward(cfg, params, cache, d_scores)
+    assert len(alive) == 2 and alive[1] == [False, False]
+
+
 def test_prepared_data_retains_only_its_arrays_and_ids():
     prepare_task_data(*small_examples(n=10), n_test=1)  # first-call set-up is not retained data
     tracemalloc.start()
@@ -381,6 +417,16 @@ def test_prepared_data_retains_only_its_arrays_and_ids():
     # lists (2000 two-tuples alone hold 110 KiB), object headers, the
     # vocabulary and the span assignment; the example objects would add 3 MB
     assert retained <= 1.1 * (arrays + ids) + 256 * 2**10, (retained, arrays, ids)
+
+    # the ids are copies that keep every character; the adjacency is boolean
+    examples, labels = small_examples(n=12)
+    odd = ["line\nbreak", "trailing nul\x00", "na\u00efve \U0001f600"]
+    examples = [dataclasses.replace(ex, id=ex.id + odd[i % 3]) for i, ex in enumerate(examples)]
+    data = prepare_task_data(examples, labels, n_test=2)
+    assert data.adjacency.dtype == bool
+    for i, ex in enumerate(examples):
+        assert np.array_equal(data.adjacency[i], build_graph(ex).adjacency)
+        assert data.ids[i] == ex.id and data.ids[i] is not ex.id
 
 
 def test_evaluate_by_density_on_fresh_examples():
