@@ -2,8 +2,15 @@
 
     python scripts/ab.py HEAD~1 --workload train_transformer --pairs 10 --seed 0
 
-extracts revision REV of the repository the script lives in with ``git
-archive`` into a temporary directory and runs ``perfbench/run.py
+first runs ``scripts/bit_witness.py --against REV``. When a witness line
+moved that ``--declare-bits LINE_PREFIX ...`` does not name, it prints the
+diff and exits 1 before timing anything: each removed or added line of the
+diff must start with one of the prefixes. Witness lines are JSON with
+sorted keys, so ``'{"gradcheck"'`` names the gradient-check line and
+``'{"checkpoint_arrays_sha256"'`` every model line.
+
+Then it extracts revision REV of the repository the script lives in with
+``git archive`` into a temporary directory and runs ``perfbench/run.py
 --workload W --seed S --trace 0`` in that tree and in this one, K pairs
 of runs in fresh interpreters with the same environment. The tree that
 runs first alternates: the revision in the first, third, ... pair, this
@@ -78,6 +85,37 @@ def table(metrics: list[dict], before: list[dict], after: list[dict], rev: str) 
     return rows
 
 
+def undeclared_moves(diff: list[str], declared: list[str]) -> list[str]:
+    """The removed or added lines of a unified witness diff that start with
+    none of the ``declared`` prefixes; the file headers and the context
+    lines are not moves."""
+    moved = []
+    in_hunk = False
+    for line in diff:
+        in_hunk = in_hunk or line.startswith("@@")
+        if in_hunk and line[:1] in "-+" and not line[1:].startswith(tuple(declared)):
+            moved.append(line)
+    return moved
+
+
+def witness_gate(rev: str, declared: list[str]) -> list[str]:
+    """The diff of ``bit_witness.py --against rev``; exits 1 when a line
+    moved that ``declared`` does not name, or when the witness failed."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bit_witness.py"), "--against", rev],
+        capture_output=True, text=True,
+    )
+    diff = proc.stdout.splitlines(keepends=True)
+    if proc.returncode != 0 and not diff:
+        raise SystemExit(f"bit_witness.py --against {rev} failed:\n{proc.stderr}")
+    undeclared = undeclared_moves(diff, declared)
+    if undeclared:
+        sys.stderr.writelines(diff)
+        raise SystemExit(f"{len(undeclared)} witness lines moved against {rev} that "
+                         "--declare-bits does not name; nothing was timed")
+    return diff
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The result line of one untraced perfbench run in ``tree``."""
     proc = subprocess.run(
@@ -96,9 +134,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--declare-bits", nargs="+", default=[], metavar="LINE_PREFIX",
+                        help="witness lines starting with one of these may move")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    diff = witness_gate(args.rev, args.declare_bits)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev], capture_output=True)
     if archive.returncode != 0:
@@ -115,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {pair + 1} of {args.pairs} done", file=sys.stderr)
     values = {side: [{k: m["value"] for k, m in r["metrics"].items()} for r in runs]
               for side, runs in results.items()}
+    print(f"bit witness against {args.rev}: "
+          + ("only declared lines moved" if diff else "empty diff"))
+    sys.stdout.writelines(diff)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs ({args.rev} first in the odd "
           f"pairs, this tree first in the even ones):\n")
     print("\n".join(table(metrics, values["before"], values["after"], args.rev)))

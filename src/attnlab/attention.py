@@ -42,8 +42,13 @@ A backward consumes its cache. ``transformer_batch_backward`` takes each
 layer's entry off the cache as it goes and frees each activation once it
 has been read, so a cache back-propagates once, and a step's live memory
 shrinks as its backward descends instead of holding every layer to the
-end. The FFN caches its preactivation alone; the backward recomputes
-the ReLU from it.
+end. A transformer layer caches only what its backward cannot rebuild
+without a projection GEMM: its input x, q, k and v, the attention
+weights, each layer norm's normalized input and inverse std, and the
+FFN's preactivation. The backward rebuilds the rest by the forward's own
+operations, so every bit stays: the attention context ``alpha @ v``, the
+query rows ``x[:, rows]``, the FFN's input (layer norm 1's output
+``xhat * gain + bias``) and the FFN's hidden ``relu(pre)``.
 """
 
 from __future__ import annotations
@@ -288,9 +293,15 @@ def _layernorm_forward(x, gain, bias):
     out = np.square(xhat)
     inv_std = 1.0 / np.sqrt(mean_along(out, -1, keepdims=True) + LN_EPS)
     xhat *= inv_std
-    np.multiply(xhat, gain, out=out)
+    return _layernorm_output(xhat, gain, bias, out=out), (xhat, inv_std, gain)
+
+
+def _layernorm_output(xhat, gain, bias, out=None):
+    """``xhat * gain + bias``; the backward rebuilds layer norm 1's output
+    with it, by the forward's own two operations."""
+    out = np.multiply(xhat, gain, out=out)
     out += bias
-    return out, (xhat, inv_std, gain)
+    return out
 
 
 def _layernorm_backward(dy, ln_cache):
@@ -319,14 +330,18 @@ def _flat_mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
-def _outer_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Weight gradient for y = x @ w, summed over all leading axes."""
-    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+def _outer_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Weight gradient for y = x @ w, summed over all leading axes; into
+    ``out`` when given."""
+    return np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=out)
 
 
 def _mha_forward(x, lp: dict, num_heads, rows=None):
     """Attention of the query ``rows`` of x (every row when None) over all
-    of x. The cache starts with those rows' input, which the residual adds."""
+    of x, plus those rows' input: the residual is added here.
+
+    The cache is the list ``[x, rows, q, k, v, alpha]``; the context and
+    the query rows' input are left out, as the backward rebuilds them."""
     d = x.shape[-1]
     wqkv = lp["wqkv"]
     if rows is None:
@@ -337,19 +352,28 @@ def _mha_forward(x, lp: dict, num_heads, rows=None):
         xq = x[:, rows]
         q, kv = _flat_mm(xq, wqkv[:, :d]), _flat_mm(x, wqkv[:, d:])
     q, k, v = (_heads(a, num_heads) for a in (q, kv[..., :d], kv[..., d:]))
-    scale = 1.0 / np.sqrt(d // num_heads)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d // num_heads))
     ctx = np.empty(xq.shape)
     alpha, _ = _attend(scores, v, out=_heads(ctx, num_heads))
     out = _flat_mm(ctx, lp["wo"])
-    return out, alpha, (xq, x, rows, q, k, v, alpha, ctx, scale)
+    out += xq
+    return out, alpha, [x, rows, q, k, v, alpha]
 
 
-def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
-    xq, x, rows, q, k, v, alpha, ctx, scale = mha_cache
+def _mha_backward(d_out, mha_cache: list, lp: dict, num_heads):
+    """(dx, {"wqkv", "wo"}) of ``_mha_forward``, the residual included.
+
+    Empties ``mha_cache`` and drops each array after its last read. The
+    context ``alpha @ v`` and the query rows' input ``x[:, rows]`` are
+    rebuilt by the forward's own operations, so they keep its bits."""
+    x, rows, q, k, v, alpha = mha_cache
+    mha_cache.clear()
     d = x.shape[-1]
     wqkv = lp["wqkv"]
+    ctx = np.empty(d_out.shape)
+    np.matmul(alpha, v, out=_heads(ctx, num_heads))
     d_wo = _outer_grad(ctx, d_out)
+    del ctx
     d_ctx = _heads(_flat_mm(d_out, lp["wo"].T), num_heads)
     # d(q|k|v) land token-major: one buffer for all three, or dq and d(k|v)
     # apart when the queries are a subset of the rows
@@ -357,30 +381,44 @@ def _mha_backward(d_out, mha_cache, lp: dict, num_heads):
         dqkv = np.empty(x.shape[:-1] + (3 * d,))
         dq, dkv = dqkv[..., :d], dqkv[..., d:]
     else:
-        dq, dkv = np.empty(xq.shape), np.empty(x.shape[:-1] + (2 * d,))
+        dq, dkv = np.empty(d_out.shape), np.empty(x.shape[:-1] + (2 * d,))
     dq_h, dk_h, dv_h = (_heads(a, num_heads) for a in (dq, dkv[..., :d], dkv[..., d:]))
     d_scores, _ = _attend_backward(alpha, v, d_ctx, d_values=dv_h)
-    d_scores *= scale
+    del alpha, v, d_ctx
+    d_scores *= 1.0 / np.sqrt(d // num_heads)
     np.matmul(d_scores, k, out=dq_h)
+    del k
     np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=dk_h)
+    del q, d_scores, dq_h, dk_h, dv_h
     if rows is None:
-        return _flat_mm(dqkv, wqkv.T), {"wqkv": _outer_grad(x, dqkv), "wo": d_wo}
-    d_wqkv = np.concatenate([_outer_grad(xq, dq), _outer_grad(x, dkv)], axis=1)
+        d_wqkv = _outer_grad(x, dqkv)
+        del x
+        dx = _flat_mm(dqkv, wqkv.T)
+        dx += d_out
+        return dx, {"wqkv": d_wqkv, "wo": d_wo}
+    d_wqkv = np.empty((d, 3 * d))
+    _outer_grad(x[:, rows], dq, out=d_wqkv[:, :d])
+    _outer_grad(x, dkv, out=d_wqkv[:, d:])
+    del x
     dx = _flat_mm(dkv, wqkv[:, d:].T)
+    del dkv
     dx[:, rows] += _flat_mm(dq, wqkv[:, :d].T)
+    del dq
+    dx[:, rows] += d_out
     return dx, {"wqkv": d_wqkv, "wo": d_wo}
 
 
 def _ffn_forward(x, lp: dict):
+    """The FFN of x; the cache is its preactivation alone."""
     pre = _flat_mm(x, lp["w1"])
     pre += lp["b1"]
     out = _flat_mm(relu(pre), lp["w2"])
     out += lp["b2"]
-    return out, (x, pre)
+    return out, pre
 
 
-def _ffn_backward(d_out, ffn_cache, lp: dict):
-    x, pre = ffn_cache
+def _ffn_backward(d_out, x, pre, lp: dict):
+    """(dx, {"w1", "b1", "w2", "b2"}) of ``_ffn_forward``; x is its input."""
     d_w2 = _outer_grad(relu(pre), d_out)  # the forward's hidden, recomputed
     d_b2 = d_out.sum(axis=(0, 1))
     d_pre = _flat_mm(d_out, lp["w2"].T)  # d_hidden
@@ -422,13 +460,12 @@ def transformer_batch_forward(
     for i, lp in enumerate(layers):
         q_rows = rows if i == len(layers) - 1 else None
         a_out, alpha, mha_c = _mha_forward(x, lp, num_heads, q_rows)
-        a_out += mha_c[0]  # the query rows' input
         x1, ln1c = _layernorm_forward(a_out, lp["ln1_gain"], lp["ln1_bias"])
-        f_out, ffn_c = _ffn_forward(x1, lp)
+        f_out, pre = _ffn_forward(x1, lp)
         f_out += x1
         x, ln2c = _layernorm_forward(f_out, lp["ln2_gain"], lp["ln2_bias"])
         traces.append(alpha)
-        layer_caches.append((mha_c, ln1c, ffn_c, ln2c))
+        layer_caches.append((mha_c, ln1c, pre, ln2c))
     return x, traces, (layers, num_heads, layer_caches)
 
 
@@ -440,32 +477,35 @@ def transformer_batch_backward(cache, d_out: np.ndarray):
     cache's list, top layer first, and drops each sub-cache and each spent
     cotangent once its last reader has run, so a layer's activations are
     freed before the layer below starts. A cache back-propagates once.
+
+    Each layer's entry is ``(mha, ln1, pre, ln2)``: the attention's list
+    ``[x, rows, q, k, v, alpha]``, each layer norm's ``(xhat, inv_std,
+    gain)`` and the FFN's preactivation. At the default config (batch 24,
+    width 300, 28 tokens, the last layer's 18 query rows) that is 11.4 MiB
+    for layer 0 and 8.9 MiB for layer 1; with the rebuilt context, query
+    rows and FFN input also cached it was 14.4 and 11.9 MiB.
     """
     layers, num_heads, layer_caches = cache
     grads: list[dict[str, np.ndarray]] = []
     dx = d_out
     for lp in reversed(layers):
-        mha_c, ln1c, ffn_c, ln2c = layer_caches.pop()
+        mha_c, ln1c, pre, ln2c = layer_caches.pop()
         g: dict[str, np.ndarray] = {}
         # x_next = ln2(x1 + ffn(x1))
         d_r2, g["ln2_gain"], g["ln2_bias"] = _layernorm_backward(dx, ln2c)
         del ln2c, dx
-        d_x1, ffn_g = _ffn_backward(d_r2, ffn_c, lp)
-        del ffn_c
+        x1 = _layernorm_output(ln1c[0], lp["ln1_gain"], lp["ln1_bias"])  # the FFN's input
+        d_x1, ffn_g = _ffn_backward(d_r2, x1, pre, lp)
+        del x1, pre
         g.update(ffn_g)
         d_x1 += d_r2
         del d_r2
         # x1 = ln1(x + mha(x))
         d_r1, g["ln1_gain"], g["ln1_bias"] = _layernorm_backward(d_x1, ln1c)
         del ln1c, d_x1
-        rows = mha_c[2]
         dx, mha_g = _mha_backward(d_r1, mha_c, lp, num_heads)
-        g.update(mha_g)
-        if rows is None:
-            dx += d_r1
-        else:
-            dx[:, rows] += d_r1
         del d_r1
+        g.update(mha_g)
         grads.append(g)
     grads.reverse()
     return dx, grads

@@ -272,7 +272,7 @@ def _sample_transformer(r: SeededRng):
 
     # only the FFN ReLU has a kink; softmax and layer norm are smooth
     def clear(cache) -> bool:
-        return all(_clear_of_kinks(ffn_c[1][0]) for _, _, ffn_c, _ in cache[2])
+        return all(_clear_of_kinks(pre[0]) for _, _, pre, _ in cache[2])
 
     return [X, *(lp[name] for lp in layers for name in names)], weights, forward, backward, clear
 

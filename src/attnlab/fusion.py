@@ -175,9 +175,12 @@ def unpool_batch_forward(
 def unpool_batch_backward(cache: UnpoolCache, d_out: np.ndarray):
     d = cache.C.shape[2]
     d_pre = d_out * (cache.pre > 0.0)
-    d_nm = np.matmul(cache.assignment.averaging.T, d_pre)  # (N,L) @ (B,L,d)
-    d_mix = np.concatenate([_outer_grad(cache.C, d_pre), _outer_grad(cache.nodes, d_nm)])
+    d_mix = np.empty(cache.mix.shape)  # [C.T @ d_pre; nodes.T @ d_nm], written in place
+    _outer_grad(cache.C, d_pre, out=d_mix[:d])
     dC = _flat_mm(d_pre, cache.mix[:d].T)
+    d_nm = np.matmul(cache.assignment.averaging.T, d_pre)  # (N,L) @ (B,L,d)
+    del d_pre
+    _outer_grad(cache.nodes, d_nm, out=d_mix[d:])
     d_nodes = _flat_mm(d_nm, cache.mix[d:].T)
     return dC, d_nodes, d_mix
 

@@ -583,9 +583,11 @@ def _train_step(
     The forward cache and the gradients are this function's locals, so they
     die when it returns, before the next step's forward starts. Kept alive
     by a loop variable instead, one step's cache (10.9 MiB for graph
-    attention, 28.3 MiB for the transformer at the default config) would
+    attention, 22.3 MiB for the transformer at the default config) would
     sit beside the next one's, and since ``_reuse_freed_pages`` keeps freed heap in the
-    process, peak RSS would keep that high-water mark.
+    process, peak RSS would keep that high-water mark. A step's live arrays
+    peak inside the backward, at 17.0 MiB for graph attention and 29.2 MiB
+    for the transformer.
     """
     try:
         scores, cache = model_forward(cfg, opt.params, data, batch)

@@ -50,3 +50,40 @@ def test_table_has_one_row_per_metric_with_its_statistics():
                    "| 122.6 [122.55, 141.3] | 2 of 3 | 0.1 | no (bound 8%) |")
     assert train == ("| train_examples_per_s (examples/s, higher is better) | 240 [230, 250] "
                      "| 240 [195, 245] | 1 of 3 | 20 | no (bound 25%) |")
+
+
+WITNESS_DIFF = """\
+--- parent
++++ this tree
+@@ -1,4 +1,4 @@
+ {"host": {"OPENBLAS_NUM_THREADS": null, "cpu_count": 2}}
+-{"checkpoint_arrays_sha256": "aa", "variant": "transformer"}
++{"checkpoint_arrays_sha256": "bb", "variant": "transformer"}
+ {"degeneracy": {"max_loop_deviation": "0x0.0p+0"}}
+-{"gradcheck": {"transformer": "0x1.0p-30"}}
++{"gradcheck": {"transformer": "0x1.8p-30"}}
+""".splitlines(keepends=True)
+
+
+def test_an_empty_witness_diff_moves_nothing():
+    assert ab.undeclared_moves([], []) == []
+    assert ab.undeclared_moves([], ['{"gradcheck"']) == []
+
+
+def test_every_moved_witness_line_is_undeclared_without_declarations():
+    assert ab.undeclared_moves(WITNESS_DIFF, []) == WITNESS_DIFF[4:6] + WITNESS_DIFF[7:]
+
+
+@pytest.mark.parametrize("declared, undeclared", [
+    (['{"gradcheck"'], [4, 5]),
+    (['{"checkpoint_arrays_sha256"'], [7, 8]),
+    (['{"checkpoint_arrays_sha256"', '{"gradcheck"'], []),
+    (['{"degeneracy"', '{"host"'], [4, 5, 7, 8]),  # context lines did not move
+    (['{"checkpoint_arrays_sha256": "aa"'], [5, 7, 8]),  # a prefix can pin a side
+])
+def test_declared_prefixes_let_only_their_lines_move(declared, undeclared):
+    assert ab.undeclared_moves(WITNESS_DIFF, declared) == [WITNESS_DIFF[i] for i in undeclared]
+
+
+def test_the_diff_headers_are_not_moves():
+    assert ab.undeclared_moves(WITNESS_DIFF[:3], []) == []

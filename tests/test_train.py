@@ -23,6 +23,7 @@ from attnlab.train import (
     Adam,
     ExperimentConfig,
     TrainedModel,
+    _train_step,
     density_bins,
     init_model_params,
     model_backward,
@@ -370,8 +371,8 @@ def _top_layer_arrays(variant, body_cache):
     """Layer or hop 1's attention weights and ReLU preactivation, taken out
     in a call of its own so that no local of the test keeps them alive."""
     if variant == "transformer":
-        mha_c, _, ffn_c, _ = body_cache[2][1]
-        return [mha_c[6], ffn_c[1]]
+        mha_c, _, pre, _ = body_cache[2][1]
+        return [mha_c[5], pre]
     _, att_c, unpool_c = body_cache[1]
     return [att_c.alpha, unpool_c.pre]
 
@@ -399,6 +400,29 @@ def test_backward_frees_each_layers_cache_before_the_next(monkeypatch, variant):
     _, d_scores = softmax_cross_entropy(scores, data.labels[batch])
     model_backward(cfg, params, cache, d_scores)
     assert len(alive) == 2 and alive[1] == [False, False]
+
+
+@pytest.mark.parametrize("variant", ["transformer", "graph_attention"])
+def test_train_step_peak_live_memory(variant):
+    """One warm step at the frozen config's shapes (width 300, batch 24, 2
+    layers or hops, 28 tokens, 9 nodes) peaks under its limit of live
+    arrays: a forward caches only what its backward cannot rebuild, and a
+    backward drops each array after its last read."""
+    limit_mib = {"transformer": 31, "graph_attention": 18}[variant]
+    examples, labels = generate_synthetic(SyntheticTaskConfig(num_examples=60))
+    data = prepare_task_data(examples, labels, n_test=12)
+    assert data.token_ids.shape[1] == 28 and data.assignment.num_entities == 9
+    cfg = ExperimentConfig(variant=variant, hops=2, hidden_dim=300, batch_size=24)
+    opt = Adam(init_model_params(cfg, data, SeededRng(cfg.seed)), cfg.learning_rate)
+    batch = data.train_idx[: cfg.batch_size]
+    _train_step(cfg, opt, data, batch, 0)  # warm up
+    tracemalloc.start()
+    try:
+        _train_step(cfg, opt, data, batch, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_prepared_data_retains_only_its_arrays_and_ids():
