@@ -2,42 +2,40 @@
 
     python scripts/ab.py HEAD~1 --workload train_transformer --pairs 10 --seed 0
 
-first runs ``scripts/bit_witness.py --against REV``. When a witness line
-moved that ``--declare-bits LINE_PREFIX ...`` does not name, it prints the
-diff and exits 1 before timing anything: each removed or added line of the
-diff must start with one of the prefixes. Witness lines are JSON with
-sorted keys, so ``'{"gradcheck"'`` names the gradient-check line and
-``'{"checkpoint_arrays_sha256"'`` every model line.
+makes one ``bit_witness.checkout`` of revision REV and does all its work in
+it. First it diffs REV's bit witness against this tree's with
+``bit_witness.witness_diff``, as ``bit_witness.py --against`` does. When a
+line moved that ``--declare-bits LINE_PREFIX ...`` does not name (each
+removed or added line must start with one of the prefixes), it prints the
+diff and exits 1 before timing anything. ``'{"variant": "transformer"'``
+names the transformer's model lines, ``'{"variant"'`` every model line.
 
-Then it extracts revision REV of the repository the script lives in with
-``git archive`` into a temporary directory and runs ``perfbench/run.py
---workload W --seed S --trace 0`` in that tree and in this one, K pairs
-of runs in fresh interpreters with the same environment. The tree that
-runs first alternates: the revision in the first, third, ... pair, this
-tree in the second, fourth, ....
+Then it runs K pairs of ``perfbench/run.py --workload W --seed S --trace
+0`` in fresh interpreters with the same environment, one run in each tree:
+REV runs first in the odd pairs, this tree in the even ones. W must name a
+workload of ``BENCHMARK.json``. A SIGTERM kills the run in progress and
+removes the checkout, REV's ``.perfbench_out`` records with it.
 
 It prints one markdown row per end-to-end metric of ``BENCHMARK.json``:
-each side's median and quartiles, the pairs this tree won (a tie counts
-for neither side), the revision's interquartile range, and whether this
-tree's median is worse than the revision's by more than the metric's
-bound, a fraction of the revision's median. A last line gives each side's
-failed operations. Nothing under ``perfbench/`` is changed; the runs'
-records go to each tree's own ``.perfbench_out``.
+each side's median and quartiles, the pairs this tree won (ties count for
+neither), REV's interquartile range, and whether this tree's median is
+worse than REV's by more than the metric's bound, a fraction of REV's
+median. A last line gives each side's failed operations.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from bit_witness import checkout, witness_diff  # noqa: E402
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,24 +96,6 @@ def undeclared_moves(diff: list[str], declared: list[str]) -> list[str]:
     return moved
 
 
-def witness_gate(rev: str, declared: list[str]) -> list[str]:
-    """The diff of ``bit_witness.py --against rev``; exits 1 when a line
-    moved that ``declared`` does not name, or when the witness failed."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bit_witness.py"), "--against", rev],
-        capture_output=True, text=True,
-    )
-    diff = proc.stdout.splitlines(keepends=True)
-    if proc.returncode != 0 and not diff:
-        raise SystemExit(f"bit_witness.py --against {rev} failed:\n{proc.stderr}")
-    undeclared = undeclared_moves(diff, declared)
-    if undeclared:
-        sys.stderr.writelines(diff)
-        raise SystemExit(f"{len(undeclared)} witness lines moved against {rev} that "
-                         "--declare-bits does not name; nothing was timed")
-    return diff
-
-
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The result line of one untraced perfbench run in ``tree``."""
     proc = subprocess.run(
@@ -129,9 +109,11 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", metavar="REV", help="git revision to compare this tree with")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--declare-bits", nargs="+", default=[], metavar="LINE_PREFIX",
@@ -139,16 +121,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    diff = witness_gate(args.rev, args.declare_bits)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev], capture_output=True)
-    if archive.returncode != 0:
-        raise SystemExit(f"git archive {args.rev} failed: {archive.stderr.decode().strip()}")
     results: dict[str, list[dict]] = {"before": [], "after": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = {"before": Path(tmp), "after": ROOT}
+    with checkout(args.rev) as tree:
+        diff = witness_diff(tree, args.rev)
+        undeclared = undeclared_moves(diff, args.declare_bits)
+        if undeclared:
+            sys.stderr.writelines(diff)
+            raise SystemExit(f"{len(undeclared)} witness lines moved against {args.rev} that "
+                             "--declare-bits does not name; nothing was timed")
+        trees = {"before": tree, "after": ROOT}
         for pair in range(args.pairs):
             order = ("before", "after") if pair % 2 == 0 else ("after", "before")
             for side in order:
@@ -161,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.stdout.writelines(diff)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs ({args.rev} first in the odd "
           f"pairs, this tree first in the even ones):\n")
-    print("\n".join(table(metrics, values["before"], values["after"], args.rev)))
+    print("\n".join(table(bench["end_to_end"], values["before"], values["after"], args.rev)))
     failed = {side: sum(r["failed"] for r in runs) for side, runs in results.items()}
     attempted = {side: sum(r["attempted"] for r in runs) for side, runs in results.items()}
     print(f"\nfailed operations: {args.rev} {failed['before']} of {attempted['before']}, "

@@ -47,7 +47,7 @@ from .entity_graph import (
     load_context_examples,
     quantile_partition,
 )
-from .errors import TrainingError, ValidationError
+from .errors import NumericError, TrainingError, ValidationError
 from .head_probe import check_entity_mask, head_report_rows, load_traces, save_traces
 from .serialize import record, write_csv, write_json
 from .synth import (
@@ -235,6 +235,11 @@ def _epoch_printer():
 def cmd_train(args) -> int:
     quantiles = _quantiles(args)
     _check_at_least("--emit-traces", args.emit_traces, 0)
+    if args.emit_traces > args.test_count:
+        raise ValidationError(
+            f"--emit-traces {args.emit_traces}: more than the --test-count "
+            f"{args.test_count} held-out examples"
+        )
     if args.dataset:
         (cfg,) = _build_configs(args, ExperimentConfig)
     else:
@@ -284,7 +289,12 @@ def cmd_eval_density(args) -> int:
     except ValidationError as exc:
         raise ValidationError(f"{args.dataset}: {exc}") from None
     del examples, labels
-    bins, accuracy = density_bins(model, data, np.arange(data.n), quantiles)
+    try:
+        # finite weights can overflow the forward pass; the error below says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            bins, accuracy = density_bins(model, data, np.arange(data.n), quantiles)
+    except NumericError as exc:
+        raise NumericError(f"--model {args.model}: {exc}") from None
     out = _out_dir(args)
     doc = {"variant": model.cfg.variant, "accuracy": accuracy, "bins": bins}
     write_json(doc, out / "density_eval.json")
@@ -389,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, TrainingError, ValueError, OSError) as exc:
+    except (NumericError, TrainingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,8 +104,8 @@ class SeededRng:
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
         return scale * self._gen.standard_normal(size=shape)
 
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
+    def uniform(self, shape) -> np.ndarray:
+        return self._gen.uniform(0.0, 1.0, size=shape)
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)

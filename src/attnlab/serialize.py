@@ -148,8 +148,8 @@ def decode_array(d: dict, where: str = "array") -> np.ndarray:
     raise ValidationError(f"{where}.data does not hold a float64 array of shape {d['shape']}")
 
 
-def save_manifest(arrays: dict[str, np.ndarray], path: str | Path, meta: dict | None = None) -> None:
-    doc = {"meta": meta or {}, "arrays": {k: encode_array(v) for k, v in sorted(arrays.items())}}
+def save_manifest(arrays: dict[str, np.ndarray], path: str | Path, meta: dict) -> None:
+    doc = {"meta": meta, "arrays": {k: encode_array(v) for k, v in sorted(arrays.items())}}
     write_json(doc, path)
 
 

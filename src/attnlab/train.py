@@ -70,7 +70,7 @@ from .fusion import (
     pool_batch_forward,
 )
 from .head_probe import AttentionTrace
-from .numerics import SeededRng
+from .numerics import SeededRng, assert_finite
 from .serialize import load_manifest, record, save_manifest, write_csv
 
 VARIANTS = ("graph_attention", "self_attention", "transformer", "none")
@@ -452,7 +452,9 @@ class TrainedModel:
 
     def predict_scores(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
         """Scores (len(idx), N), ``PREDICT_CHUNK`` examples per forward pass;
-        an empty ``idx`` gives (0, N).
+        an empty ``idx`` gives (0, N). Finite weights can still overflow in
+        the forward pass: a score or an activation that is not finite
+        raises ``NumericError``.
 
         Each chunk's backward cache is dropped before the next chunk runs,
         so live memory stays that of one chunk however many examples are
@@ -462,14 +464,15 @@ class TrainedModel:
         outs = []
         for lo in range(0, idx.size, PREDICT_CHUNK):
             chunk = idx[lo : lo + PREDICT_CHUNK]
-            outs.append(model_forward(self.cfg, self.params, data, chunk)[0])
+            outs.append(assert_finite(model_forward(self.cfg, self.params, data, chunk)[0],
+                                      "predicted score array"))
         return np.concatenate(outs) if outs else np.zeros((0, self.assignment.num_entities))
 
     def predict(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
         return self.predict_scores(data, idx).argmax(axis=1)
 
-    def prepare(self, examples, labels, n_test: int = 0) -> TaskData:
-        data = prepare_task_data(examples, labels, n_test, vocab=self.vocab)
+    def prepare(self, examples, labels) -> TaskData:
+        data = prepare_task_data(examples, labels, n_test=0, vocab=self.vocab)
         have, want = data.assignment, self.assignment
         if have.num_tokens != want.num_tokens:
             raise ValidationError(

@@ -1,11 +1,17 @@
+import contextlib
 import importlib.util
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "ab", Path(__file__).resolve().parent.parent / "scripts" / "ab.py"
-)
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
@@ -55,14 +61,17 @@ def test_table_has_one_row_per_metric_with_its_statistics():
 WITNESS_DIFF = """\
 --- parent
 +++ this tree
-@@ -1,4 +1,4 @@
- {"host": {"OPENBLAS_NUM_THREADS": null, "cpu_count": 2}}
--{"checkpoint_arrays_sha256": "aa", "variant": "transformer"}
-+{"checkpoint_arrays_sha256": "bb", "variant": "transformer"}
+@@ -1,5 +1,5 @@
+ {"host": {"cpu_count": 2, "OPENBLAS_NUM_THREADS": null}}
+-{"variant": "graph_attention", MODEL_KEYS "checkpoint_arrays_sha256": "cc"}
++{"variant": "graph_attention", MODEL_KEYS "checkpoint_arrays_sha256": "dd"}
+-{"variant": "transformer", MODEL_KEYS "checkpoint_arrays_sha256": "aa"}
++{"variant": "transformer", MODEL_KEYS "checkpoint_arrays_sha256": "bb"}
  {"degeneracy": {"max_loop_deviation": "0x0.0p+0"}}
 -{"gradcheck": {"transformer": "0x1.0p-30"}}
 +{"gradcheck": {"transformer": "0x1.8p-30"}}
-""".splitlines(keepends=True)
+""".replace("MODEL_KEYS", '"force_fully_connected": false, "hidden_dim": 48,').splitlines(
+    keepends=True)
 
 
 def test_an_empty_witness_diff_moves_nothing():
@@ -71,15 +80,16 @@ def test_an_empty_witness_diff_moves_nothing():
 
 
 def test_every_moved_witness_line_is_undeclared_without_declarations():
-    assert ab.undeclared_moves(WITNESS_DIFF, []) == WITNESS_DIFF[4:6] + WITNESS_DIFF[7:]
+    assert ab.undeclared_moves(WITNESS_DIFF, []) == WITNESS_DIFF[4:8] + WITNESS_DIFF[9:]
 
 
 @pytest.mark.parametrize("declared, undeclared", [
-    (['{"gradcheck"'], [4, 5]),
-    (['{"checkpoint_arrays_sha256"'], [7, 8]),
-    (['{"checkpoint_arrays_sha256"', '{"gradcheck"'], []),
-    (['{"degeneracy"', '{"host"'], [4, 5, 7, 8]),  # context lines did not move
-    (['{"checkpoint_arrays_sha256": "aa"'], [5, 7, 8]),  # a prefix can pin a side
+    (['{"gradcheck"'], [4, 5, 6, 7]),
+    (['{"variant"'], [9, 10]),
+    (['{"variant"', '{"gradcheck"'], []),
+    (['{"degeneracy"', '{"host"'], [4, 5, 6, 7, 9, 10]),  # context lines did not move
+    ([WITNESS_DIFF[6][1:]], [4, 5, 7, 9, 10]),  # a whole line pins one side
+    (['{"variant": "transformer"'], [4, 5, 9, 10]),  # one model's lines
 ])
 def test_declared_prefixes_let_only_their_lines_move(declared, undeclared):
     assert ab.undeclared_moves(WITNESS_DIFF, declared) == [WITNESS_DIFF[i] for i in undeclared]
@@ -87,3 +97,43 @@ def test_declared_prefixes_let_only_their_lines_move(declared, undeclared):
 
 def test_the_diff_headers_are_not_moves():
     assert ab.undeclared_moves(WITNESS_DIFF[:3], []) == []
+
+
+def _is_git_checkout() -> bool:
+    if shutil.which("git") is None:
+        return False
+    top = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--show-toplevel"],
+                         capture_output=True, text=True)
+    return top.returncode == 0 and Path(top.stdout.strip()).resolve() == ROOT
+
+
+@pytest.mark.skipif(not _is_git_checkout(), reason="the repository is not a git checkout")
+@pytest.mark.parametrize("running", [
+    "**/scripts/bit_witness.py",  # the revision is being extracted, or was
+    "*/tmp*",  # the revision's witness runs and has made its temporary directory
+])
+def test_sigterm_leaves_no_checkout_and_no_child(tmp_path, running):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "bit_witness.py"), "--against", "HEAD"],
+        env={**os.environ, "TMPDIR": str(tmpdir)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any(tmpdir.glob(running)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmpdir.iterdir()) == []
+    children = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        with contextlib.suppress(OSError):
+            if str(tmpdir).encode() in cmdline.read_bytes():
+                children.append(cmdline)
+    assert children == []

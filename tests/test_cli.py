@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -13,10 +14,12 @@ from attnlab.head_probe import AttentionTrace, save_traces
 from attnlab.synth import SyntheticTaskConfig, generate_synthetic, write_dataset_jsonl, write_labels_jsonl
 from oracles import planted_trace_layers
 
-TASK_KEYS = (
-    "num_examples=80 num_entities_pool=10 sentences_per_context=4 "
-    "distractor_count=4 mention_collision_rate=0.5 seed=21"
+_spec = importlib.util.spec_from_file_location(
+    "bit_witness", Path(__file__).resolve().parent.parent / "scripts" / "bit_witness.py"
 )
+bit_witness = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bit_witness)
+TASK_KEYS = bit_witness.TASK_KEYS
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -471,34 +474,11 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "graphs.json").exists()
 
 
-def _run_every_writer(out: Path) -> None:
-    """Every subcommand that writes a file, at small sizes, into ``out``."""
-    short = ["--set", "hidden_dim=12", "--set", "epochs=1", "--set", "batch_size=16",
-             "--set", "seed=5", "--set", "learning_rate=0.001", "--test-count", "10"]
-    assert main(["gen-synthetic", "--config", str(write_config(out.parent / "task.cfg", TASK_KEYS)),
-                 "--set", "num_examples=40", "--out", str(out)]) == 0
-    data, labs = out / "dataset_seed21.jsonl", out / "labels_seed21.jsonl"
-    assert main(["build-graph", "--input", str(data), "--out", str(out)]) == 0
-    assert main(["density-report", "--input", str(data), "--out", str(out)]) == 0
-    given = ["--dataset", str(data), "--labels", str(labs), "--out", str(out), *short]
-    assert main(["train", *given, "--set", "variant=graph_attention", "--set", "hops=2"]) == 0
-    assert main(["train", *given, "--set", "variant=transformer", "--set", "num_heads=2",
-                 "--emit-traces", "4"]) == 0
-    assert main(["eval-density", "--model", str(out / "model_graph_attention_seed5.json"),
-                 "--dataset", str(data), "--labels", str(labs), "--out", str(out)]) == 0
-    assert main(["probe-heads", "--traces", str(out / "traces_transformer_seed5.jsonl"),
-                 "--out", str(out)]) == 0
-    assert main(["equivalence-check", "--instances", "20", "--loop-instances", "5",
-                 "--out", str(out)]) == 0
-    assert main(["gradcheck", "--instances", "2", "--out", str(out)]) == 0
-
-
 def test_cli_artifacts_are_deterministic(tmp_path):
     runs = []
     for name in ("r1", "r2"):
         (tmp_path / name).mkdir()
-        out = tmp_path / name / "out"
-        _run_every_writer(out)
+        out = bit_witness.run_cli_pipeline(tmp_path / name)
         runs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sorted(runs[0]) == sorted(runs[1])
     assert {name.rsplit(".", 1)[1] for name in runs[0]} == {"json", "jsonl", "csv"}

@@ -185,6 +185,18 @@ def _set_array_entry(name, value):
     return edit
 
 
+def _fill_arrays(*names, value):
+    """Checkpoint edit: every entry of the arrays ``names`` holds ``value``."""
+
+    def edit(doc):
+        for name in names:
+            array = decode_array(doc["arrays"][name])
+            array.fill(value)
+            doc["arrays"][name] = encode_array(array)
+
+    return edit
+
+
 def _set_array_field(name, key, value):
     """Checkpoint edit: array ``name``'s entry holds ``value`` at ``key``."""
 
@@ -252,6 +264,9 @@ CASES = {
         lambda tmp: [*TRAIN, "--set", "embed_scale=0"], 2, "embed_scale"),
     "train embed_scale nan": (
         lambda tmp: [*TRAIN, "--set", "embed_scale=nan"], 2, "embed_scale"),
+    "train emit-traces beyond the held-out slice": (
+        lambda tmp: [*TRAIN, "--set", "variant=transformer", "--emit-traces", "11"], 2,
+        "--emit-traces 11: more than the --test-count 10 held-out examples"),
     "train emit-traces with every token an entity": (
         _all_entity_dataset, 2, "entity_mask"),
     "probe-heads nan entry": (
@@ -310,6 +325,12 @@ CASES = {
     "eval-density inf in a graph_attention checkpoint": (
         _checkpoint_with("graph_attention", _set_array_entry("scorer", math.inf)), 2,
         "model_graph_attention_seed7.json: array 'scorer' holds NaN or inf"),
+    "eval-density transformer input overflows": (
+        _checkpoint_with("transformer", _fill_arrays("embed", "pos", value=1.7e308)), 2,
+        "model_transformer_seed7.json: transformer input contains non-finite entries"),
+    "eval-density transformer scores overflow": (
+        _checkpoint_with("transformer", _fill_arrays("embed", value=1.7e308)), 2,
+        "model_transformer_seed7.json: predicted score array contains non-finite entries"),
     "eval-density checkpoint span past its tokens": (
         _checkpoint_with("graph_attention", _last_span_past_the_tokens), 2,
         "model_graph_attention_seed7.json: spans[8] = [28, 30) leaves [0, num_tokens) = [0, 28)"),
