@@ -205,7 +205,7 @@ def fusion_batch_forward(
     adjacency: np.ndarray | None,
     assignment: SpanAssignment,
     params: Sequence[dict],
-    leaky_slope: float = LEAKY_SLOPE,
+    leaky_slope: float,
 ):
     """Run one round of pool -> attend -> back-project per entry of
     ``params``, batched. Each entry holds one hop's ``proj``, ``attn_vec``

@@ -36,13 +36,11 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def leaky_relu(x, slope: float = 0.2):
-    """x for x >= 0, slope*x otherwise. slope must lie in (0, 1)."""
+def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    """x for x >= 0, slope*x otherwise, elementwise on arrays. slope must lie in (0, 1)."""
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(x >= 0.0, x, slope * x)
-    return float(out) if out.ndim == 0 else out
+    return np.where(x >= 0.0, x, slope * x)
 
 
 def leaky_relu_grad(pre: np.ndarray, slope: float) -> np.ndarray:
@@ -107,14 +105,15 @@ class SeededRng:
     def uniform(self, shape) -> np.ndarray:
         return self._gen.uniform(0.0, 1.0, size=shape)
 
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
+    def integers(self, low: int, high: int):
+        return self._gen.integers(low, high)
 
     def random(self) -> float:
         return float(self._gen.random())
 
-    def choice(self, seq: Sequence, size=None, replace: bool = True):
-        return self._gen.choice(seq, size=size, replace=replace)
+    def choice(self, seq: Sequence, size: int) -> np.ndarray:
+        """``size`` distinct draws from ``seq`` (or from range(seq) for an int)."""
+        return self._gen.choice(seq, size=size, replace=False)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -117,7 +117,7 @@ def _generate_one(
     e_per = cfg.entities_per_sentence
 
     # distinct base texts: query (reused by the bridge twin), answer, distractors
-    base = rng.choice(cfg.num_entities_pool, size=2 + cfg.distractor_count, replace=False)
+    base = rng.choice(cfg.num_entities_pool, 2 + cfg.distractor_count)
     query_text, answer_text = int(base[0]), int(base[1])
 
     bridge_sentence = int(rng.integers(1, s_total))

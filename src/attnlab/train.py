@@ -34,6 +34,10 @@ rows alone: their queries and attention rows, ``wo`` and the residual,
 both layer norms and the FFN, with keys and values over all L tokens. Its
 ``pos`` gradient stays non-zero at the uncovered positions.
 
+Held-out evaluation is one ``model_forward`` per ``PREDICT_CHUNK``
+examples, in ``TrainedModel.map_chunks``: scoring and the head probe's
+trace export read each chunk's scores and attention weights there.
+
 All parameters live in one flat dict of arrays, the same one that Adam
 updates and a checkpoint stores: ``embed``, ``pos`` and ``scorer``, plus
 each reasoning layer's arrays as ``fusion.<hop>.<name>`` (``proj``,
@@ -313,8 +317,12 @@ def _layers(params: dict, prefix: str, count: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.ndarray):
-    """Scores (B, N) over answer nodes plus the cache for backward.
+def model_forward(
+    cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.ndarray, every_row: bool = False
+):
+    """Scores (B, N) over answer nodes, the attention weights the layers
+    return (each hop's (B, N, N), each transformer layer's (B, heads,
+    queries, L), [] for ``none``), and the cache for backward.
 
     Pooling reads only the rows some entity span covers, over the
     assignment re-indexed to them (``SpanAssignment.covered``). The hop-loop
@@ -322,24 +330,26 @@ def model_forward(cfg: ExperimentConfig, params: dict, data: TaskData, idx: np.n
     and its earlier layers compute every row, since each row is a key and
     value of the next layer; its last layer computes the covered rows alone.
     No other row reaches the pooled nodes, so the scores are those of the
-    full sequence up to the order of floating-point sums.
+    full sequence up to the order of floating-point sums. ``every_row``
+    computes every row and pools over ``data.assignment``, so the last
+    layer has all L query rows, as the head probe's traces need.
     """
-    rows, assignment = data.assignment.covered
-    embedded = slice(None) if cfg.variant == "transformer" else rows
+    rows, assignment = (None, data.assignment) if every_row else data.assignment.covered
+    embedded = slice(None) if rows is None or cfg.variant == "transformer" else rows
     tok = data.token_ids[idx][:, embedded]
     x = params["embed"][tok] + params["pos"][embedded]
-    body_cache = None
+    attention, body_cache = [], None
     if cfg.variant == "transformer":
         layers = _layers(params, "tf", cfg.hops)
-        x, _, body_cache = transformer_batch_forward(x, layers, cfg.num_heads, rows)
+        x, attention, body_cache = transformer_batch_forward(x, layers, cfg.num_heads, rows)
     elif cfg.variant != "none":
         unmasked = cfg.variant == "self_attention" or cfg.force_fully_connected
-        x, _, body_cache = fusion_batch_forward(
+        x, attention, body_cache = fusion_batch_forward(
             x, None if unmasked else data.adjacency[idx], assignment,
             _layers(params, "fusion", cfg.hops), cfg.leaky_slope,
         )
     nodes, pool_c = pool_batch_forward(x, assignment)
-    return nodes @ params["scorer"], (tok, embedded, body_cache, pool_c, nodes)
+    return nodes @ params["scorer"], attention, (tok, embedded, body_cache, pool_c, nodes)
 
 
 def _scorer_grad(d_scores: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -450,22 +460,29 @@ class TrainedModel:
     vocab: list[str]
     assignment: SpanAssignment  # the token and span layout it was trained on
 
-    def predict_scores(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
-        """Scores (len(idx), N), ``PREDICT_CHUNK`` examples per forward pass;
-        an empty ``idx`` gives (0, N). Finite weights can still overflow in
-        the forward pass: a score or an activation that is not finite
-        raises ``NumericError``.
-
-        Each chunk's backward cache is dropped before the next chunk runs,
-        so live memory stays that of one chunk however many examples are
-        scored.
+    def map_chunks(
+        self, data: TaskData, idx: np.ndarray, read: Callable, every_row: bool = False
+    ) -> list:
+        """``read(chunk, scores, attention)`` of each chunk of ``PREDICT_CHUNK``
+        examples of ``idx`` in turn, from one ``model_forward`` each. Finite
+        weights can still overflow: a score or an activation that is not
+        finite raises ``NumericError``. A chunk's cache is dropped before
+        ``read`` runs and the rest before the next forward, so live memory
+        stays that of one chunk plus what ``read`` keeps.
         """
         _reuse_freed_pages()
         outs = []
         for lo in range(0, idx.size, PREDICT_CHUNK):
             chunk = idx[lo : lo + PREDICT_CHUNK]
-            outs.append(assert_finite(model_forward(self.cfg, self.params, data, chunk)[0],
-                                      "predicted score array"))
+            # the cache dies with the returned tuple
+            scores, attention = model_forward(self.cfg, self.params, data, chunk, every_row)[:2]
+            outs.append(read(chunk, assert_finite(scores, "predicted score array"), attention))
+            del scores, attention
+        return outs
+
+    def predict_scores(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
+        """Scores (len(idx), N); an empty ``idx`` gives (0, N)."""
+        outs = self.map_chunks(data, idx, lambda chunk, scores, attention: scores)
         return np.concatenate(outs) if outs else np.zeros((0, self.assignment.num_entities))
 
     def predict(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
@@ -593,7 +610,8 @@ def _train_step(
     for the transformer.
     """
     try:
-        scores, cache = model_forward(cfg, opt.params, data, batch)
+        scores, attention, cache = model_forward(cfg, opt.params, data, batch)
+        del attention  # the backward frees each layer's weights as it reads them
         loss, d_scores = softmax_cross_entropy(scores, data.labels[batch])
     except NumericError as exc:
         raise TrainingError(f"training diverged: {exc}", step) from exc
@@ -666,19 +684,15 @@ def train(
 def transformer_traces(
     model: TrainedModel, data: TaskData, idx: np.ndarray
 ) -> list[AttentionTrace]:
-    """Per-example attention traces, ``PREDICT_CHUNK`` examples per forward pass."""
+    """Per-example attention traces (layers, heads, L, L), read off the
+    ``every_row`` forward of ``TrainedModel.map_chunks``."""
     if model.cfg.variant != "transformer":
         raise ValidationError("attention traces are exported from the transformer variant")
-    _reuse_freed_pages()
-    weights = _layers(model.params, "tf", model.cfg.hops)
-    out = []
-    for lo in range(0, idx.size, PREDICT_CHUNK):
-        chunk = idx[lo : lo + PREDICT_CHUNK]
-        x = model.params["embed"][data.token_ids[chunk]] + model.params["pos"][None, :, :]
-        # (B, layers, heads, L, L)
-        stacked = np.stack(transformer_batch_forward(x, weights, model.cfg.num_heads)[1], axis=1)
-        out.extend(
-            AttentionTrace(data.ids[i], stacked[bi], data.entity_mask).validate()
-            for bi, i in enumerate(chunk)
-        )
-    return out
+    entity_mask = data.entity_mask
+
+    def read(chunk, scores, attention):
+        stacked = np.stack(attention, axis=1)  # (B, layers, heads, L, L)
+        return [AttentionTrace(data.ids[i], stacked[b], entity_mask).validate()
+                for b, i in enumerate(chunk)]
+
+    return [t for traces in model.map_chunks(data, idx, read, every_row=True) for t in traces]

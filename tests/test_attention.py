@@ -88,6 +88,23 @@ def test_masking_exact_zeros_and_row_sums():
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_unmasked_additive_scorer_ranks_keys_alike_in_every_row():
+    """LeakyReLU(s_i + t_j) is increasing in t_j, so with no mask every
+    query ranks the keys in the order of t = g @ a_dst: the scorer is static."""
+    rng = SeededRng(12)
+    for case in range(200):
+        b, n = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        H = rng.normal((b, n, int(rng.integers(2, 5))))
+        params = init_graph_attention_params(rng.split(case), H.shape[2], int(rng.integers(2, 5)))
+        _, alpha, _ = graph_attention_batch_forward(H, None, params)
+        d_out = params["proj"].shape[1]
+        t = (H @ params["proj"]) @ params["attn_vec"][d_out:]  # (B, N)
+        for k in range(b):
+            order = np.argsort(t[k], kind="stable")
+            for row in alpha[k]:
+                np.testing.assert_array_equal(np.argsort(row, kind="stable"), order)
+
+
 def test_locality_perturbation():
     rng = SeededRng(3)
     H, adj, params = random_instance(rng, n=6, p_edge=0.3)

@@ -8,12 +8,12 @@ from attnlab.numerics import SeededRng, finite_diff_grad, leaky_relu, mean_along
 
 
 def test_activations():
-    assert leaky_relu(5.0, 0.2) == 5.0
-    assert leaky_relu(-1.0, 0.2) == pytest.approx(-0.2)
+    assert leaky_relu(np.array(5.0), 0.2) == 5.0
+    assert leaky_relu(np.array(-1.0), 0.2) == pytest.approx(-0.2)
     assert relu(-3.0) == 0.0
     assert relu(2.5) == 2.5
     with pytest.raises(ValueError):
-        leaky_relu(1.0, 1.5)
+        leaky_relu(np.array(1.0), 1.5)
 
 
 def test_finite_diff_on_square():

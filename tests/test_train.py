@@ -70,7 +70,7 @@ def test_variant_gradients_match_finite_differences(variant):
     idx = np.arange(6)
     labels = data.labels[idx]
 
-    scores, cache = model_forward(cfg, params, data, idx)
+    scores, _, cache = model_forward(cfg, params, data, idx)
     _, d_scores = softmax_cross_entropy(scores, labels)
     grads = model_backward(cfg, params, cache, d_scores)
 
@@ -85,7 +85,7 @@ def test_variant_gradients_match_finite_differences(variant):
             size = params[k].size
             trial[k] = theta[pos : pos + size].reshape(params[k].shape)
             pos += size
-        s, _ = model_forward(cfg, trial, data, idx)
+        s = model_forward(cfg, trial, data, idx)[0]
         loss, _ = softmax_cross_entropy(s, labels)
         return loss
 
@@ -108,7 +108,7 @@ def test_batched_forward_matches_per_example_modules(variant):
     cfg = small_cfg(variant, hidden_dim=8)
     params = init_model_params(cfg, data, SeededRng(2))
     idx = np.arange(4)
-    scores, cache = model_forward(cfg, params, data, idx)
+    scores, _, cache = model_forward(cfg, params, data, idx)
 
     plist = _layers(params, "fusion", cfg.hops)
     asg = data.assignment
@@ -134,7 +134,7 @@ def test_hop_loop_variants_compute_only_covered_rows(variant):
     cfg = small_cfg(variant, hidden_dim=6)
     params = init_model_params(cfg, data, SeededRng(1))
     idx = np.arange(6)
-    scores, cache = model_forward(cfg, params, data, idx)
+    scores, _, cache = model_forward(cfg, params, data, idx)
     (pool_c,) = [c for c in cache if isinstance(c, PoolCache)]
     assert pool_c.C.shape == (idx.size, covered.sum(), cfg.hidden_dim)
     _, d_scores = softmax_cross_entropy(scores, data.labels[idx])
@@ -153,7 +153,7 @@ def test_transformer_last_layer_computes_only_covered_rows():
     cfg = small_cfg("transformer", hidden_dim=6)
     params = init_model_params(cfg, data, SeededRng(1))
     idx = np.arange(6)
-    scores, cache = model_forward(cfg, params, data, idx)
+    scores, _, cache = model_forward(cfg, params, data, idx)
     (pool_c,) = [c for c in cache if isinstance(c, PoolCache)]
     assert pool_c.C.shape == (idx.size, covered.sum(), cfg.hidden_dim)
     _, d_scores = softmax_cross_entropy(scores, data.labels[idx])
@@ -177,6 +177,71 @@ def test_transformer_traces_keep_every_query_row():
     for b, trace in enumerate(traces):
         assert trace.layers.shape == (cfg.hops, cfg.num_heads, L, L)
         np.testing.assert_array_equal(trace.layers, np.stack([w[b] for w in want]))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_model_forward_returns_the_attention_it_computes(variant):
+    from attnlab.fusion import fusion_batch_forward
+    from attnlab.train import _layers
+
+    data = small_data(n=30, n_test=10)
+    model = untrained_model(variant, data)
+    cfg, params = model.cfg, model.params
+    idx = data.test_idx[:5]
+    scores, attention, _ = model_forward(cfg, params, data, idx)
+    full_scores, full_attention, _ = model_forward(cfg, params, data, idx, every_row=True)
+    np.testing.assert_allclose(full_scores, scores, atol=1e-10)
+    if variant == "none":
+        assert attention == [] and full_attention == []
+        return
+    B, L, N = idx.size, data.token_ids.shape[1], data.assignment.num_entities
+    covered, assignment = data.assignment.covered
+    if variant == "transformer":
+        assert [a.shape for a in attention] == [(B, cfg.num_heads, L, L),
+                                                (B, cfg.num_heads, covered.size, L)]
+        assert [a.shape for a in full_attention] == [(B, cfg.num_heads, L, L)] * cfg.hops
+        for b, trace in enumerate(transformer_traces(model, data, idx)):
+            np.testing.assert_array_equal(trace.layers, np.stack([a[b] for a in full_attention]))
+        return
+    adjacency = data.adjacency[idx] if variant == "graph_attention" else None
+    x = params["embed"][data.token_ids[idx][:, covered]] + params["pos"][covered]
+    want = fusion_batch_forward(
+        x, adjacency, assignment, _layers(params, "fusion", cfg.hops), cfg.leaky_slope)[1]
+    assert len(attention) == cfg.hops
+    for alpha, hop in zip(attention, want):
+        assert alpha.shape == (B, N, N)
+        np.testing.assert_array_equal(alpha, hop)
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
+        if adjacency is not None:
+            assert (~adjacency).any() and (alpha[~adjacency] == 0.0).all()
+
+
+def test_each_chunk_runs_one_forward(monkeypatch):
+    import attnlab.train as train_module
+
+    forward = train_module.model_forward
+    calls = []  # each call's chunk size
+    last = []  # weak references to the latest call's attention and pooled nodes
+    alive = []  # per call after the first: was any of the previous call's alive
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].size)
+        alive.append(any(ref() is not None for ref in last))
+        scores, attention, cache = forward(*args, **kwargs)
+        last[:] = [weakref.ref(a) for a in [*attention, cache[-1]]]
+        return scores, attention, cache
+
+    monkeypatch.setattr(train_module, "model_forward", counted)
+    n = 2 * PREDICT_CHUNK + 1
+    data = small_data(n=n + 1, n_test=n)
+    model = untrained_model("transformer", data)
+    for run in (model.predict_scores, lambda d, i: density_bins(model, d, i),
+                lambda d, i: transformer_traces(model, d, i)):
+        for seen in (calls, last, alive):
+            seen.clear()
+        run(data, data.test_idx)
+        assert calls == [PREDICT_CHUNK, PREDICT_CHUNK, 1]
+        assert not any(alive)
 
 
 def test_degeneracy_step_identity_between_variants():
@@ -356,11 +421,11 @@ def test_a_steps_cache_is_dead_before_the_next_forward(monkeypatch, variant):
     last = []  # a weak reference to one array of the latest call's cache
     alive = []  # per call after the first: was the previous cache still alive
 
-    def watched(*args):
+    def watched(*args, **kwargs):
         alive.extend(ref() is not None for ref in last)
-        scores, cache = forward(*args)
+        scores, attention, cache = forward(*args, **kwargs)
         last[:] = [weakref.ref(cache[-1])]
-        return scores, cache
+        return scores, attention, cache
 
     monkeypatch.setattr(train_module, "model_forward", watched)
     train(small_cfg(variant, epochs=1, batch_size=8), small_data(n=40, n_test=8))
@@ -387,7 +452,8 @@ def test_backward_frees_each_layers_cache_before_the_next(monkeypatch, variant):
     data = small_data(n=20, n_test=4)
     params = init_model_params(cfg, data, SeededRng(cfg.seed))
     batch = data.train_idx[:8]
-    scores, cache = model_forward(cfg, params, data, batch)
+    scores, attention, cache = model_forward(cfg, params, data, batch)
+    del attention  # it would keep layer 1's attention weights alive
     refs = [weakref.ref(a) for a in _top_layer_arrays(variant, cache[2])]
     inner = getattr(sys.modules[module], name)
     alive = []  # per call, top layer first: which of layer 1's arrays are alive
