@@ -26,7 +26,7 @@ so that a format change moves only the meta hash; for a transformer, the
 sha256 of the ``transformer_traces`` of 8 held-out examples and their
 ``head_report_rows``, scores as ``float.hex``. Then come the
 ``run_gradcheck_suite(5, 3)`` errors and the ``degeneracy_suite(200,
-2024)`` deviations as ``float.hex``, and the sha256 of every file that
+2024, 100)`` deviations as ``float.hex``, and the sha256 of every file that
 ``run_cli_pipeline`` writes. attnlab is imported from the ``src``
 directory next to the script, so the witness measures the script's tree.
 """
@@ -190,7 +190,7 @@ def witness() -> None:
             print(json.dumps(model_key | dict(sorted(fields.items()))))
     errors = run_gradcheck_suite(5, 3)
     print(json.dumps({"gradcheck": {k: errors[k].hex() for k in GRADCHECK_KEYS}}, sort_keys=True))
-    dev = degeneracy_suite(200, 2024)
+    dev = degeneracy_suite(200, 2024, 100)
     print(json.dumps({"degeneracy": {k: dev[k].hex() for k in DEGENERACY_KEYS}}, sort_keys=True))
     with tempfile.TemporaryDirectory() as tmp:
         out = run_cli_pipeline(Path(tmp))

@@ -482,8 +482,7 @@ def transformer_batch_backward(cache, d_out: np.ndarray):
     ``[x, rows, q, k, v, alpha]``, each layer norm's ``(xhat, inv_std,
     gain)`` and the FFN's preactivation. At the default config (batch 24,
     width 300, 28 tokens, the last layer's 18 query rows) that is 11.4 MiB
-    for layer 0 and 8.9 MiB for layer 1; with the rebuilt context, query
-    rows and FFN input also cached it was 14.4 and 11.9 MiB.
+    for layer 0 and 8.9 MiB for layer 1.
     """
     layers, num_heads, layer_caches = cache
     grads: list[dict[str, np.ndarray]] = []

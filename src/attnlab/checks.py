@@ -76,7 +76,7 @@ def _deviation(*pairs) -> float:
     return max(float(np.abs(a - b).max(initial=0.0)) for a, b in pairs)
 
 
-def degeneracy_suite(instances: int = 1000, seed: int = 2024, loop_instances: int = 100) -> dict:
+def degeneracy_suite(instances: int, seed: int, loop_instances: int) -> dict:
     """Self-attention two ways: masked by an all-ones adjacency, and with
     ``adjacency=None``, which skips the mask. An all-ones mask keeps every
     score, so the two code paths must agree bit for bit.
@@ -181,7 +181,7 @@ def _sample_graph_attention(r: SeededRng):
     )
 
 
-def gradcheck_graph_attention(instances: int = 100, seed: int = 7) -> float:
+def gradcheck_graph_attention(instances: int, seed: int) -> float:
     """Max relative error of the analytic gradients over random cases."""
     return _gradcheck(instances, seed, _sample_graph_attention)
 
@@ -202,7 +202,7 @@ def _sample_graph2doc(r: SeededRng):
             unpool_batch_backward, lambda cache: _clear_of_kinks(cache.pre))
 
 
-def gradcheck_graph2doc(instances: int = 100, seed: int = 8) -> float:
+def gradcheck_graph2doc(instances: int, seed: int) -> float:
     return _gradcheck(instances, seed, _sample_graph2doc)
 
 
@@ -247,7 +247,7 @@ def _sample_fusion(r: SeededRng):
     return [C0, params["proj"], params["attn_vec"], mix], weights, forward, backward, clear
 
 
-def gradcheck_fusion(instances: int = 100, seed: int = 9) -> float:
+def gradcheck_fusion(instances: int, seed: int) -> float:
     """Full hop loop with one weight set tied across hops, so each weight's
     gradient is the sum of its per-hop gradients; 12 tokens, 3 entities."""
     return _gradcheck(instances, seed, _sample_fusion)
@@ -277,11 +277,11 @@ def _sample_transformer(r: SeededRng):
     return [X, *(lp[name] for lp in layers for name in names)], weights, forward, backward, clear
 
 
-def gradcheck_transformer(instances: int = 100, seed: int = 10) -> float:
+def gradcheck_transformer(instances: int, seed: int) -> float:
     return _gradcheck(instances, seed, _sample_transformer)
 
 
-def run_gradcheck_suite(instances: int = 100, seed: int = 3) -> dict:
+def run_gradcheck_suite(instances: int, seed: int) -> dict:
     if instances < 1:
         raise ValidationError(f"need instances >= 1, got {instances}")
     results = {

@@ -51,6 +51,14 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+def _loads(text: str):
+    """``json.loads``; nesting past its recursion limit is a ``ValidationError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError("JSON nested too deeply to read") from None
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
     """``parse`` applied to each non-blank line's JSON value; errors name
     ``path:line``, and a file with no records is an error."""
@@ -60,7 +68,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                out.append(parse(_loads(line)))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if not out:
@@ -156,6 +164,6 @@ def save_manifest(arrays: dict[str, np.ndarray], path: str | Path, meta: dict) -
 def load_manifest(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays and the meta object of a ``save_manifest`` file."""
     with open(path, encoding="utf-8") as fh:
-        doc = record(json.load(fh), _MANIFEST)
+        doc = record(_loads(fh.read()), _MANIFEST)
     arrays = {k: decode_array(v, f"arrays[{k!r}]") for k, v in doc["arrays"].items()}
     return arrays, doc["meta"]

@@ -92,19 +92,6 @@ class SyntheticTaskConfig:
             )
         return self
 
-    @property
-    def num_nodes(self) -> int:
-        return 3 + self.distractor_count
-
-    @property
-    def tokens_per_context_sentence(self) -> int:
-        return self.entities_per_sentence * SPAN_TOKENS + FILLERS_PER_SENTENCE
-
-    @property
-    def num_tokens(self) -> int:
-        question = SPAN_TOKENS + FILLERS_PER_SENTENCE
-        return question + (self.sentences_per_context - 1) * self.tokens_per_context_sentence
-
 
 def _filler(rng: SeededRng) -> str:
     return FILLER_TOKENS[int(rng.integers(0, len(FILLER_TOKENS)))]

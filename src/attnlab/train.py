@@ -58,6 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attention import (
+    LEAKY_SLOPE,
     init_transformer_params,
     transformer_batch_backward,
     transformer_batch_forward,
@@ -129,7 +130,7 @@ class ExperimentConfig:
     batch_size: int = 24
     seed: int = 7
     num_heads: int = 4
-    leaky_slope: float = 0.2
+    leaky_slope: float = LEAKY_SLOPE
     embed_scale: float = 0.5
     force_fully_connected: bool = False
 
@@ -485,9 +486,6 @@ class TrainedModel:
         outs = self.map_chunks(data, idx, lambda chunk, scores, attention: scores)
         return np.concatenate(outs) if outs else np.zeros((0, self.assignment.num_entities))
 
-    def predict(self, data: TaskData, idx: np.ndarray) -> np.ndarray:
-        return self.predict_scores(data, idx).argmax(axis=1)
-
     def prepare(self, examples, labels) -> TaskData:
         data = prepare_task_data(examples, labels, n_test=0, vocab=self.vocab)
         have, want = data.assignment, self.assignment
@@ -513,14 +511,20 @@ class TrainedModel:
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
         """Rebuild a saved model; a checkpoint whose meta does not match
-        ``CHECKPOINT_META``, whose config or spans are out of range, or whose
-        arrays do not fit that config or hold NaN or inf, raises
-        ``ValidationError`` naming the file and the first mismatch."""
+        ``CHECKPOINT_META``, whose config or spans are out of range, whose
+        vocab repeats a token, or whose arrays do not fit that config or hold
+        NaN or inf, raises ``ValidationError`` naming the file and the first
+        mismatch."""
         try:
             arrays, meta = load_manifest(path)
             meta = record(meta, CHECKPOINT_META, "meta")
             if meta["format"] != CHECKPOINT_FORMAT:
                 raise ValidationError(f"meta.format {meta['format']} is not {CHECKPOINT_FORMAT}")
+            first = {}
+            for i, token in enumerate(meta["vocab"]):
+                if first.setdefault(token, i) != i:
+                    raise ValidationError(
+                        f"meta.vocab[{i}] {token!r} repeats meta.vocab[{first[token]}]")
             cfg = ExperimentConfig(**meta["config"]).validate()
             assignment = SpanAssignment(meta["spans"], meta["num_tokens"])
             model = cls(cfg, arrays, meta["vocab"], assignment)
@@ -571,7 +575,7 @@ def density_bins(
     over the examples ``idx``, of which there must be at least one."""
     if idx.size == 0:
         raise ValidationError("density bins need at least one example, got an empty index")
-    preds = model.predict(data, idx)
+    preds = model.predict_scores(data, idx).argmax(axis=1)
     correct = (preds == data.labels[idx]).astype(np.float64)
     accuracy = float(correct.mean())
     by_id = {data.ids[i]: c for i, c in zip(idx, correct)}

@@ -29,7 +29,7 @@ def random_instance(rng: SeededRng, n=None, d_in=None, d_out=None, p_edge=0.5):
     adj = (rng.uniform((n, n)) < p_edge).astype(np.float64)
     adj = np.maximum(adj, adj.T)
     np.fill_diagonal(adj, 1.0)
-    params = init_graph_attention_params(rng.split(99), d_in, d_out)
+    params = init_graph_attention_params(rng, d_in, d_out)
     return H, adj, params
 
 
@@ -56,36 +56,45 @@ def test_zero_scores_give_uniform_attention():
 
 def test_matches_loop_oracle_on_random_instances():
     rng = SeededRng(0)
+    projs = set()
     for _ in range(50):
         H, adj, params = random_instance(rng)
+        projs.add(params["proj"].tobytes())
         out, alpha, _ = graph_attention_forward(H, adj, params)
         ref_out, ref_alpha = loop_graph_attention(
             H, adj, params["proj"], params["attn_vec"], LEAKY_SLOPE
         )
         np.testing.assert_allclose(out, ref_out, atol=1e-12)
         np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12)
+    assert len(projs) == 50
 
 
 def test_self_attention_is_graph_attention_with_ones_bitwise():
     rng = SeededRng(1)
+    projs = set()
     for _ in range(100):
         n = int(rng.integers(1, 9))
         H = rng.normal((n, 3))
-        params = init_graph_attention_params(rng.split(5), 3, 4)
+        params = init_graph_attention_params(rng, 3, 4)
+        projs.add(params["proj"].tobytes())
         a = graph_attention_forward(H, np.ones((n, n)), params)
         b = graph_attention_forward(H, None, params)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+    assert len(projs) == 100
 
 
 def test_masking_exact_zeros_and_row_sums():
     rng = SeededRng(2)
+    projs = set()
     for _ in range(100):
         H, adj, params = random_instance(rng, p_edge=0.35)
+        projs.add(params["proj"].tobytes())
         _, alpha, _ = graph_attention_forward(H, adj, params)
         outside = alpha[adj == 0.0]
         assert outside.size == 0 or (outside == 0.0).all()
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+    assert len(projs) == 100
 
 
 def test_unmasked_additive_scorer_ranks_keys_alike_in_every_row():
@@ -138,8 +147,10 @@ def test_no_gradient_flows_along_a_non_edge():
 
 def test_permutation_equivariance():
     rng = SeededRng(4)
+    projs = set()
     for _ in range(30):
         H, adj, params = random_instance(rng)
+        projs.add(params["proj"].tobytes())
         n = H.shape[0]
         perm = np.random.default_rng(int(rng.integers(0, 2**31))).permutation(n)
         out, alpha, _ = graph_attention_forward(H, adj, params)
@@ -148,6 +159,7 @@ def test_permutation_equivariance():
         )
         np.testing.assert_allclose(pout, out[perm], atol=1e-12)
         np.testing.assert_allclose(palpha, alpha[np.ix_(perm, perm)], atol=1e-12)
+    assert len(projs) == 30
 
 
 def test_zero_cotangent_zero_grads():

@@ -1,11 +1,13 @@
 """Bad command-line input ends in exit 2, before any work is written.
 
 Each row of ``CASES`` gives a subcommand's argv, built on small valid
-inputs in a temporary directory with one flag, config value or input
-record mutated, plus the expected exit code and a substring of stderr
-that names the flag, the key or the ``file:line``. Every case also
-checks that stderr holds no traceback and that an exit 2 leaves no
-``--out`` directory behind.
+inputs with one flag, config value, input record or file mutated, plus
+the expected exit code and a substring of stderr that names the flag, the
+key or the ``file:line``. The inputs are edited copies, in a temporary
+directory, of the module's one generated dataset and of its trained
+checkpoints (the ``base`` fixture). Every case also checks that stderr
+holds no traceback and that an exit 2 leaves no ``--out`` directory
+behind.
 
 Two more tables are generated. ``RECORD_ROWS`` mutates every key path of
 every record spec (the dataset line, the label line, the trace and the
@@ -18,6 +20,7 @@ table marks it valid, and an exit 2 names the file (``:1`` for JSONL) or
 the ``--set`` and the key path.
 """
 
+import copy
 import json
 import math
 
@@ -68,7 +71,7 @@ def _negative_row(doc):
     doc["layers"][0][1][0][:2] = [-0.25, 1.25 - (L - 2) / L]
 
 
-def _mixed_heads(tmp_path) -> list[str]:
+def _mixed_heads(tmp_path, base) -> list[str]:
     """Two valid traces, the second with three heads where the first has two."""
     path = _traces(tmp_path, lambda d: None)
     doc = json.loads((tmp_path / "traces.jsonl").read_text())
@@ -84,25 +87,17 @@ def _jsonl(path, rows) -> str:
 
 
 def _on_dataset(command, mutate, variant="graph_attention"):
-    """argv running ``command`` on TRAIN's 40 synthetic examples, written by
-    gen-synthetic and then mutated as ``mutate(examples, labels)``; eval-density
-    reads a ``variant`` model that TRAIN made first."""
+    """argv running ``command`` on the base examples and labels, mutated as
+    ``mutate(examples, labels)``; eval-density reads the base ``variant`` model."""
 
-    def argv(tmp_path) -> list[str]:
-        gen = tmp_path / "gen"
-        assert main(["gen-synthetic", "--set", "num_examples=40", "--out", str(gen)]) == 0
-        rows, labels = (
-            [json.loads(line) for line in (gen / f"{kind}_seed11.jsonl").read_text().splitlines()]
-            for kind in ("dataset", "labels")
-        )
+    def argv(tmp_path, base) -> list[str]:
+        files, docs = base
+        rows, labels = copy.deepcopy(docs["dataset"]), copy.deepcopy(docs["labels"])
         mutate(rows, labels)
         data = _jsonl(tmp_path / "data.jsonl", rows)
         labs = _jsonl(tmp_path / "labels.jsonl", labels)
         if command == "eval-density":
-            assert main([*TRAIN, "--set", f"variant={variant}", "--set", "num_heads=2",
-                         "--out", str(tmp_path / "model")]) == 0
-            model = tmp_path / "model" / f"model_{variant}_seed7.json"
-            return [command, "--model", str(model), "--dataset", data, "--labels", labs]
+            return [command, "--model", str(files[variant]), "--dataset", data, "--labels", labs]
         if command == "train":
             return [*TRAIN_ON, "--dataset", data, "--labels", labs]
         return [command, "--input", data]
@@ -126,6 +121,19 @@ def _set_label(key, value):
         labels[0][key] = value
 
     return mutate
+
+
+def _drop_label(rows, labels):
+    del labels[5]
+
+
+def _label_without_answer_on_line_6(rows, labels):
+    labels.insert(5, {"id": "x"})
+
+
+def _label_again(rows, labels):
+    """The fifth id labelled a second time, with another answer, on a last line."""
+    labels.append({**labels[4], "answer_node": int(not labels[4]["answer_node"])})
 
 
 def _tokens_as_string(rows, labels):
@@ -155,21 +163,17 @@ def _config_file(tmp_path, text) -> str:
 
 
 def _checkpoint_with(variant, edit):
-    """argv of eval-density on 40 generated examples with a ``variant`` model
-    that TRAIN made, its checkpoint JSON passed through ``edit``."""
+    """argv of eval-density on the base examples with the base ``variant``
+    model, its checkpoint JSON passed through ``edit``."""
 
-    def argv(tmp_path) -> list[str]:
-        gen, model = tmp_path / "gen", tmp_path / "model"
-        assert main(["gen-synthetic", "--set", "num_examples=40", "--out", str(gen)]) == 0
-        assert main([*TRAIN, "--set", f"variant={variant}", "--set", "num_heads=2",
-                     "--out", str(model)]) == 0
-        path = model / f"model_{variant}_seed7.json"
-        doc = json.loads(path.read_text())
+    def argv(tmp_path, base) -> list[str]:
+        files, docs = base
+        doc = copy.deepcopy(docs[variant])
         edit(doc)
+        path = tmp_path / f"model_{variant}_seed7.json"
         path.write_text(json.dumps(doc))
         return ["eval-density", "--model", str(path),
-                "--dataset", str(gen / "dataset_seed11.jsonl"),
-                "--labels", str(gen / "labels_seed11.jsonl")]
+                "--dataset", str(files["dataset"]), "--labels", str(files["labels"])]
 
     return argv
 
@@ -219,12 +223,44 @@ def _set_meta(*keys, value):
     return edit
 
 
+def _repeat_first_token(doc):
+    """Checkpoint edit: the vocab ends in its first token again, with one
+    more ``embed`` row to match."""
+    doc["meta"]["vocab"].append(doc["meta"]["vocab"][0])
+    embed = decode_array(doc["arrays"]["embed"])
+    doc["arrays"]["embed"] = encode_array(np.vstack([embed, embed[:1]]))
+
+
 def _last_span_past_the_tokens(doc):
     n = doc["meta"]["num_tokens"]
     doc["meta"]["spans"][-1] = [n, n + 2]
 
 
-def _all_entity_dataset(tmp_path) -> list[str]:
+def _input_file(argv, name, text):
+    """argv reading ``<name>.jsonl``, which holds ``text``, or is missing for None."""
+
+    def make(tmp_path, base) -> list[str]:
+        path = tmp_path / f"{name}.jsonl"
+        if text is not None:
+            path.write_text(text)
+        return [*argv, str(path)]
+
+    return make
+
+
+def _nested_too_deeply(source):
+    """argv reading a ``source`` file whose one JSON value nests past the
+    parser's recursion limit."""
+
+    def argv(tmp_path, base) -> list[str]:
+        files = {**base[0], source: tmp_path / FILES[source]}
+        files[source].write_text("[" * 10_000 + "]" * 10_000 + "\n")
+        return _argv(source, files)
+
+    return argv
+
+
+def _all_entity_dataset(tmp_path, base) -> list[str]:
     """Every token lies inside an entity span, so no head can be scored."""
     data, labels = tmp_path / "data.jsonl", tmp_path / "labels.jsonl"
     spans = [{"start": 0, "end": 2, "mention": "m0", "sentence_index": 0},
@@ -244,55 +280,56 @@ def _all_entity_dataset(tmp_path) -> list[str]:
 
 CASES = {
     "equivalence-check instances 0": (
-        lambda tmp: ["equivalence-check", "--instances", "0"], 2, "--instances 0"),
+        lambda tmp, base: ["equivalence-check", "--instances", "0"], 2, "--instances 0"),
     "equivalence-check instances negative": (
-        lambda tmp: ["equivalence-check", "--instances", "-3"], 2, "--instances -3"),
+        lambda tmp, base: ["equivalence-check", "--instances", "-3"], 2, "--instances -3"),
     "equivalence-check loop-instances negative": (
-        lambda tmp: ["equivalence-check", "--instances", "5", "--loop-instances", "-1"],
+        lambda tmp, base: ["equivalence-check", "--instances", "5", "--loop-instances", "-1"],
         2, "--loop-instances -1"),
     "gradcheck instances 0": (
-        lambda tmp: ["gradcheck", "--instances", "0"], 2, "--instances 0"),
+        lambda tmp, base: ["gradcheck", "--instances", "0"], 2, "--instances 0"),
     "gradcheck instances negative": (
-        lambda tmp: ["gradcheck", "--instances", "-3"], 2, "--instances -3"),
+        lambda tmp, base: ["gradcheck", "--instances", "-3"], 2, "--instances -3"),
     "train learning_rate nan": (
-        lambda tmp: [*TRAIN, "--set", "learning_rate=nan"], 2, "learning_rate"),
+        lambda tmp, base: [*TRAIN, "--set", "learning_rate=nan"], 2, "learning_rate"),
     "train learning_rate inf": (
-        lambda tmp: [*TRAIN, "--set", "learning_rate=inf"], 2, "learning_rate"),
+        lambda tmp, base: [*TRAIN, "--set", "learning_rate=inf"], 2, "learning_rate"),
     "train embed_scale negative": (
-        lambda tmp: [*TRAIN, "--set", "embed_scale=-1"], 2, "embed_scale"),
+        lambda tmp, base: [*TRAIN, "--set", "embed_scale=-1"], 2, "embed_scale"),
     "train embed_scale 0": (
-        lambda tmp: [*TRAIN, "--set", "embed_scale=0"], 2, "embed_scale"),
+        lambda tmp, base: [*TRAIN, "--set", "embed_scale=0"], 2, "embed_scale"),
     "train embed_scale nan": (
-        lambda tmp: [*TRAIN, "--set", "embed_scale=nan"], 2, "embed_scale"),
+        lambda tmp, base: [*TRAIN, "--set", "embed_scale=nan"], 2, "embed_scale"),
     "train emit-traces beyond the held-out slice": (
-        lambda tmp: [*TRAIN, "--set", "variant=transformer", "--emit-traces", "11"], 2,
+        lambda tmp, base: [*TRAIN, "--set", "variant=transformer", "--emit-traces", "11"], 2,
         "--emit-traces 11: more than the --test-count 10 held-out examples"),
     "train emit-traces with every token an entity": (
         _all_entity_dataset, 2, "entity_mask"),
     "probe-heads nan entry": (
-        lambda tmp: ["probe-heads", "--traces", _traces(tmp, lambda d: _set_entry(d, math.nan))],
+        lambda tmp, base: ["probe-heads", "--traces",
+                           _traces(tmp, lambda d: _set_entry(d, math.nan))],
         2, "traces.jsonl:1: layer 0 head 1"),
     "probe-heads true in a row that reads as one-hot": (
-        lambda tmp: ["probe-heads", "--traces",
-                     _traces(tmp, lambda d: _set_row(d, [True] + [0.0] * (L - 1)))],
+        lambda tmp, base: ["probe-heads", "--traces",
+                           _traces(tmp, lambda d: _set_row(d, [True] + [0.0] * (L - 1)))],
         2, "traces.jsonl:1: layers must be a rectangular list of numbers"),
     "probe-heads negative entries in a row summing to 1": (
-        lambda tmp: ["probe-heads", "--traces", _traces(tmp, _negative_row)],
+        lambda tmp, base: ["probe-heads", "--traces", _traces(tmp, _negative_row)],
         2, "traces.jsonl:1: layer 0 head 1"),
     "probe-heads all-entity mask": (
-        lambda tmp: ["probe-heads", "--traces",
-                     _traces(tmp, lambda d: _set(d, "entity_mask", [True] * L))],
+        lambda tmp, base: ["probe-heads", "--traces",
+                           _traces(tmp, lambda d: _set(d, "entity_mask", [True] * L))],
         2, "traces.jsonl:1: entity_mask"),
     "probe-heads no-entity mask": (
-        lambda tmp: ["probe-heads", "--traces",
-                     _traces(tmp, lambda d: _set(d, "entity_mask", [False] * L))],
+        lambda tmp, base: ["probe-heads", "--traces",
+                           _traces(tmp, lambda d: _set(d, "entity_mask", [False] * L))],
         2, "traces.jsonl:1: entity_mask"),
     "probe-heads traces with 2 and 3 heads": (
         _mixed_heads, 2, "traces.jsonl:2: (layers, heads) = (1, 3)"),
     **{
         f"{command} repeated example id": (
             _on_dataset(command, _repeat_first), 2,
-            "data.jsonl:41: example id 's11-ex00000' appears on an earlier line")
+            "data.jsonl:13: example id 's11-ex00000' appears on an earlier line")
         for command in ("build-graph", "density-report", "train", "eval-density")
     },
     "build-graph float span end": (
@@ -361,24 +398,87 @@ CASES = {
             "data.jsonl:1: example s11-ex00000: entity_spans is empty")
         for command in ("build-graph", "density-report")
     },
-    "train test-count 0": (lambda tmp: [*TRAIN, "--test-count", "0"], 2, "--test-count 0"),
+    "train test-count 0": (lambda tmp, base: [*TRAIN, "--test-count", "0"], 2, "--test-count 0"),
     "train config file sets a key twice": (
-        lambda tmp: [*TRAIN_ON, "--config", _config_file(tmp, "epochs = 1\nepochs = 2\n")], 2,
-        "run.cfg:2: epochs is set on an earlier line"),
+        lambda tmp, base: [*TRAIN_ON, "--config", _config_file(tmp, "epochs = 1\nepochs = 2\n")],
+        2, "run.cfg:2: epochs is set on an earlier line"),
     **{
         f"eval-density two more tokens than the {variant} model": (
             _on_dataset("eval-density", _append_two_tokens, variant), 2,
             "data.jsonl: 30 tokens per example, the model was trained on 28")
         for variant in ("graph_attention", "transformer")
     },
+    "train unknown config key": (
+        lambda tmp, base: [*TRAIN, "--set", "hiden_dim=8"], 2,
+        "--set hiden_dim=8: unknown config key hiden_dim (not a field of ExperimentConfig or "
+        "SyntheticTaskConfig)"),
+    "gen-synthetic config file sets a train key": (
+        lambda tmp, base: ["gen-synthetic", "--config", _config_file(tmp, "hidden_dim = 8\n")],
+        2, "run.cfg:1: unknown config key hidden_dim (not a field of SyntheticTaskConfig)"),
+    "train on a dataset sets a task key": (
+        lambda tmp, base: [*TRAIN_ON, "--dataset", str(base[0]["dataset"]),
+                           "--labels", str(base[0]["labels"]), "--set", "num_examples=12"],
+        2, "--set num_examples=12: unknown config key num_examples (not a field of "
+        "ExperimentConfig)"),
+    "train leaky_slope 1.5": (
+        lambda tmp, base: [*TRAIN, "--set", "leaky_slope=1.5"], 2,
+        "--set leaky_slope=1.5: leaky_slope must lie in (0, 1), got 1.5"),
+    "train emit-traces with variant none": (
+        lambda tmp, base: [*TRAIN, "--set", "variant=none", "--emit-traces", "5"], 2,
+        "--emit-traces: attention traces are exported from the transformer variant"),
+    **{
+        f"{command} labels without one dataset id": (
+            _on_dataset(command, _drop_label), 2,
+            "labels.jsonl: no label for dataset id 's11-ex00005' (1 of 12 ids missing)")
+        for command in ("train", "eval-density")
+    },
+    "train label without answer_node on line 6": (
+        _on_dataset("train", _label_without_answer_on_line_6), 2,
+        "labels.jsonl:6: answer_node is missing"),
+    "train label id given twice": (
+        _on_dataset("train", _label_again), 2,
+        "labels.jsonl:13: id 's11-ex00004' is labelled twice"),
+    "train answer_node 99": (
+        _on_dataset("train", _set_label("answer_node", 99)), 2,
+        "labels.jsonl:1: answer_node 99 of id 's11-ex00000' is not in [0, 9)"),
+    "eval-density checkpoint array of another shape": (
+        _checkpoint_with("transformer", _set_array_field("scorer", "shape", [1, 16])), 2,
+        "model_transformer_seed7.json: array 'scorer' has shape (1, 16), transformer expects "
+        "(16,)"),
+    "eval-density checkpoint without an array": (
+        _checkpoint_with("transformer", lambda doc: doc["arrays"].pop("scorer")), 2,
+        "model_transformer_seed7.json: no array 'scorer', which transformer needs"),
+    "eval-density checkpoint with an extra array": (
+        _checkpoint_with("graph_attention",
+                         lambda doc: doc["arrays"].update(extra=doc["arrays"]["scorer"])), 2,
+        "model_graph_attention_seed7.json: array 'extra' is not a graph_attention parameter"),
+    "eval-density checkpoint config with an unknown key": (
+        _checkpoint_with("transformer", _set_meta("config", "hidden_dims", value=8)), 2,
+        "model_transformer_seed7.json: meta.config.hidden_dims is unknown"),
+    "eval-density checkpoint vocab repeats a token": (
+        _checkpoint_with("graph_attention", _repeat_first_token), 2,
+        "model_graph_attention_seed7.json: meta.vocab[32] 'about' repeats meta.vocab[0]"),
+    **{
+        f"{argv[0]} {name} file": (_input_file(argv, name, text), 2, needle)
+        for argv in (["build-graph", "--input"], ["density-report", "--input"],
+                     ["probe-heads", "--traces"])
+        for name, text, needle in (("missing", None, "missing.jsonl"),
+                                   ("blank", "\n  \n\n", "blank.jsonl: no records"))
+    },
+    **{
+        f"{source} nested too deeply": (
+            _nested_too_deeply(source), 2, f"{where}: JSON nested too deeply to read")
+        for source, where in (("dataset", "data.jsonl:1"), ("labels", "labels.jsonl:1"),
+                              ("trace", "traces.jsonl:1"), ("checkpoint", "model.json"))
+    },
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_bad_input_exits_as_tabled(tmp_path, capsys, case):
+def test_bad_input_exits_as_tabled(tmp_path, capsys, base, case):
     argv, code, needle = CASES[case]
     out = tmp_path / "out"
-    assert main([*argv(tmp_path), "--out", str(out)]) == code
+    assert main([*argv(tmp_path, base), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert needle in err, err
     assert "Traceback" not in err
@@ -411,9 +511,9 @@ def test_equivalence_report_counts_the_loop_cases_that_ran(tmp_path):
 @pytest.mark.parametrize(
     "suite, kwargs",
     [
-        (degeneracy_suite, {"instances": 0}),
-        (degeneracy_suite, {"instances": 5, "loop_instances": -1}),
-        (run_gradcheck_suite, {"instances": 0}),
+        (degeneracy_suite, {"instances": 0, "seed": 0, "loop_instances": 0}),
+        (degeneracy_suite, {"instances": 5, "seed": 0, "loop_instances": -1}),
+        (run_gradcheck_suite, {"instances": 0, "seed": 0}),
     ],
 )
 def test_suites_refuse_to_check_nothing(suite, kwargs):
@@ -545,20 +645,23 @@ RECORD_NEEDLES = {
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """12 generated examples, their labels, a graph_attention checkpoint
-    trained on them, and one trace, each as its parsed JSON."""
+    """12 generated examples, their labels, a graph_attention and a
+    transformer checkpoint trained on them, and one trace, each as its
+    parsed JSON. The record tables' ``checkpoint`` is the graph_attention one."""
     root = tmp_path_factory.mktemp("base")
     assert main(["gen-synthetic", "--set", "num_examples=12", "--out", str(root)]) == 0
     files = {"dataset": root / "dataset_seed11.jsonl", "labels": root / "labels_seed11.jsonl",
-             "checkpoint": root / "model_graph_attention_seed7.json",
              "trace": root / "traces.jsonl"}
-    assert main(["train", "--dataset", str(files["dataset"]), "--labels", str(files["labels"]),
-                 "--set", "hidden_dim=8", "--set", "epochs=1", "--test-count", "4",
-                 "--out", str(root)]) == 0
     _traces(root, lambda d: None)
     docs = {source: [json.loads(line) for line in path.read_text().splitlines()]
-            for source, path in files.items() if source != "checkpoint"}
-    docs["checkpoint"] = json.loads(files["checkpoint"].read_text())
+            for source, path in files.items()}
+    for variant in ("graph_attention", "transformer"):
+        assert main(["train", "--dataset", str(files["dataset"]), "--labels", str(files["labels"]),
+                     "--set", f"variant={variant}", "--set", "hidden_dim=8", "--set", "epochs=1",
+                     "--test-count", "4", "--out", str(root)]) == 0
+        files[variant] = root / f"model_{variant}_seed7.json"
+        docs[variant] = json.loads(files[variant].read_text())
+    files["checkpoint"], docs["checkpoint"] = files["graph_attention"], docs["graph_attention"]
     return files, docs
 
 
@@ -575,7 +678,7 @@ def _write_mutated(source, path, value, docs, target):
     """``target`` holds ``docs[source]`` with the value at ``path`` of its
     first record replaced by ``value``, or the whole file truncated or empty."""
     jsonl = source != "checkpoint"
-    doc = json.loads(json.dumps(docs[source][0] if jsonl else docs[source]))
+    doc = copy.deepcopy(docs[source][0] if jsonl else docs[source])
     if path == "empty":
         target.write_text("")
         return

@@ -93,7 +93,7 @@ def make_trace(rng, layers, heads, L, mask, example_id="t"):
     ).validate()
 
 
-def test_rank_heads_single_trace_and_tiebreak():
+def test_head_report_rows_single_trace_and_tiebreak():
     rng = np.random.default_rng(3)
     L = 6
     mask = np.array([True, True, False, False, False, False])
@@ -108,7 +108,7 @@ def test_rank_heads_single_trace_and_tiebreak():
     assert [r["rank"] for r in rows] == [1, 2, 3, 4, 5, 6]
 
 
-def test_rank_heads_forced_ordering():
+def test_head_report_rows_forced_ordering():
     L = 6
     mask = np.array([True, False, False, False, False, False])
     uniform = np.full((L, L), 1.0 / L)
@@ -121,7 +121,7 @@ def test_rank_heads_forced_ordering():
     assert (top["layer"], top["head"]) == (0, 1)
 
 
-def test_rank_heads_order_invariant_in_examples():
+def test_head_report_rows_order_invariant_in_examples():
     rng = np.random.default_rng(4)
     L = 5
     mask = np.array([True, True, False, False, False])

@@ -107,12 +107,12 @@ def test_different_seeds_differ():
 
 
 def test_uniform_geometry_for_fixed_config():
-    cfg = SyntheticTaskConfig(num_examples=40, seed=5)
-    examples, _ = generate_synthetic(cfg)
+    examples, _ = generate_synthetic(SyntheticTaskConfig(num_examples=40, seed=5))
     first = examples[0]
+    # the default layout: 28 tokens, 9 nodes
+    assert (len(first.tokens), len(first.entity_spans)) == (28, 9)
     for ex in examples:
-        assert len(ex.tokens) == cfg.num_tokens
-        assert len(ex.entity_spans) == cfg.num_nodes
+        assert len(ex.tokens) == len(first.tokens)
         assert [(s.start, s.end) for s in ex.entity_spans] == [
             (s.start, s.end) for s in first.entity_spans
         ]

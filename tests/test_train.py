@@ -319,7 +319,7 @@ def test_checkpoint_roundtrip(tmp_path):
     model.save(path)
     loaded = TrainedModel.load(path)
     np.testing.assert_array_equal(
-        loaded.predict(data, data.test_idx), model.predict(data, data.test_idx)
+        loaded.predict_scores(data, data.test_idx), model.predict_scores(data, data.test_idx)
     )
     for k in model.params:
         assert np.array_equal(loaded.params[k], model.params[k])
@@ -568,7 +568,6 @@ def test_an_empty_index_scores_no_rows_and_has_no_density_bins():
     model, _ = train(small_cfg("none", epochs=1), data)
     empty = np.arange(0)
     assert model.predict_scores(data, empty).shape == (0, data.assignment.num_entities)
-    assert model.predict(data, empty).shape == (0,)
     with pytest.raises(ValidationError, match="empty index"):
         density_bins(model, data, empty)
 
