@@ -16,18 +16,17 @@ A first line names the host's CPU count and ``OPENBLAS_NUM_THREADS``: BLAS
 splits a large GEMM across its threads, so only outputs made with the same
 thread count compare bit for bit. Then one JSON line per model of
 ``MODELS`` (2 epochs on 400 synthetic examples, 100 held out) leads with
-the model, as in ``{"variant": "transformer", "force_fully_connected":
-false, "hidden_dim": 48, ...``, so that ``scripts/ab.py --declare-bits
-'{"variant": "transformer"'`` names the transformer lines alone. Its other
-keys follow sorted: the loss curve as ``float.hex``; the sha256 of the
-parameters in sorted-name order and of the held-out scores; the sha256 of
-the checkpoint's ``arrays`` and of its ``meta``, each as canonical JSON,
-so that a format change moves only the meta hash; for a transformer, the
-sha256 of the ``transformer_traces`` of 8 held-out examples and their
-``head_report_rows``, scores as ``float.hex``. Then come the
-``run_gradcheck_suite(5, 3)`` errors and the ``degeneracy_suite(200,
-2024, 100)`` deviations as ``float.hex``, and the sha256 of every file that
-``run_cli_pipeline`` writes. attnlab is imported from the ``src``
+the model, as in ``{"variant": "transformer", "hidden_dim": 48, ...``, so
+that ``scripts/ab.py --declare-bits '{"variant": "transformer"'`` names the
+transformer lines alone. Its other keys follow sorted: the loss curve as
+``float.hex``; the sha256 of the parameters in sorted-name order and of the
+held-out scores; the sha256 of the checkpoint's ``arrays`` and of its
+``meta``, each as canonical JSON, so that a format change moves only the
+meta hash; for a transformer, the sha256 of the ``transformer_traces`` of 8
+held-out examples and their ``head_report_rows``, scores as ``float.hex``.
+Then come the ``run_gradcheck_suite(5, 3)`` errors and the
+``degeneracy_suite(200, 2024, 100)`` deviations as ``float.hex``, and the
+sha256 of every file that ``run_cli_pipeline`` writes. attnlab is imported from the ``src``
 directory next to the script, so the witness measures the script's tree.
 """
 
@@ -63,17 +62,16 @@ from attnlab.train import (  # noqa: E402
     transformer_traces,
 )
 
-# (variant, force_fully_connected, hidden_dim): the width-48 GEMMs stay below
-# the sizes where OpenBLAS splits one across threads; only the width-300
-# lines check the GEMM shapes of the default config
+# (variant, hidden_dim): the width-48 GEMMs stay below the sizes where
+# OpenBLAS splits one across threads; only the width-300 lines check the
+# GEMM shapes of the default config
 MODELS = (
-    ("graph_attention", False, 48),
-    ("graph_attention", True, 48),
-    ("self_attention", False, 48),
-    ("transformer", False, 48),
-    ("none", False, 48),
-    ("graph_attention", False, 300),
-    ("transformer", False, 300),
+    ("graph_attention", 48),
+    ("self_attention", 48),
+    ("transformer", 48),
+    ("none", 48),
+    ("graph_attention", 300),
+    ("transformer", 300),
 )
 TRACE_EXAMPLES = 8
 GRADCHECK_KEYS = ("graph_attention", "graph2doc", "fusion_block", "transformer")
@@ -159,10 +157,8 @@ def witness() -> None:
     examples, labels = generate_synthetic(SyntheticTaskConfig(num_examples=400))
     data = prepare_task_data(examples, labels, n_test=100)
     with tempfile.TemporaryDirectory() as tmp:
-        for variant, fully_connected, width in MODELS:
-            cfg = ExperimentConfig(
-                variant=variant, hidden_dim=width, epochs=2, force_fully_connected=fully_connected
-            )
+        for variant, width in MODELS:
+            cfg = ExperimentConfig(variant=variant, hidden_dim=width, epochs=2)
             model, report = train(cfg, data)
             ckpt = Path(tmp) / "model.json"
             model.save(ckpt)
@@ -185,8 +181,7 @@ def witness() -> None:
                      r["rank"]]
                     for r in head_report_rows(traces)
                 ]
-            model_key = {"variant": variant, "force_fully_connected": fully_connected,
-                         "hidden_dim": width}
+            model_key = {"variant": variant, "hidden_dim": width}
             print(json.dumps(model_key | dict(sorted(fields.items()))))
     errors = run_gradcheck_suite(5, 3)
     print(json.dumps({"gradcheck": {k: errors[k].hex() for k in GRADCHECK_KEYS}}, sort_keys=True))

@@ -399,8 +399,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NumericError, TrainingError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericError, TrainingError, ValueError, OSError, MemoryError) as exc:
+        # Python's own MemoryError often has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

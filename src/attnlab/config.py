@@ -13,6 +13,8 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
+from .serialize import read_lines
+
 
 def _parse_value(text: str):
     text = text.strip()
@@ -30,18 +32,17 @@ def _parse_value(text: str):
 def parse_config_file(path: str | Path) -> list[tuple[str, str, object]]:
     """``(path:line, key, value)`` of each assignment in the file."""
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if any(key == seen for _, seen, _ in items):
-                raise ValueError(f"{path}:{lineno}: {key} is set on an earlier line")
-            items.append((f"{path}:{lineno}", key, _parse_value(val)))
+    for lineno, raw in read_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if any(key == seen for _, seen, _ in items):
+            raise ValueError(f"{path}:{lineno}: {key} is set on an earlier line")
+        items.append((f"{path}:{lineno}", key, _parse_value(val)))
     return items
 
 

@@ -32,7 +32,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,18 +59,32 @@ def _loads(text: str):
         raise ValidationError("JSON nested too deeply to read") from None
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` of each line of a UTF-8 text file. A byte
+    that is not UTF-8 raises ``ValidationError`` naming ``path:line``: text
+    mode decodes ahead of the line it hands out, so each line is decoded
+    with ``surrogateescape`` and checked on its own."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, line
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
     """``parse`` applied to each non-blank line's JSON value; errors name
     ``path:line``, and a file with no records is an error."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(_loads(line)))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(_loads(line)))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise ValidationError(f"{path}: no records")
     return out

@@ -7,9 +7,7 @@ stack between embedding and scoring:
 * ``graph_attention``: ``fusion``'s hop loop (pool -> masked attention
   -> token back-projection) with one parameter set per hop.
 * ``self_attention``: the same hop loop with no adjacency, so node
-  attention runs unmasked over every node. A ``graph_attention`` run
-  with ``force_fully_connected`` passes no adjacency either, so the two
-  produce bit-identical losses step for step.
+  attention runs unmasked over every node.
 * ``transformer``: a post-norm encoder stack over tokens.
 * ``none``: no reasoning layers at all. Per-node features cannot see
   the question, so this baseline hovers near chance and anchors the
@@ -132,6 +130,7 @@ class ExperimentConfig:
     num_heads: int = 4
     leaky_slope: float = LEAKY_SLOPE
     embed_scale: float = 0.5
+    # only the benchmark's frozen config and format-3 checkpoints still record it
     force_fully_connected: bool = False
 
     def validate(self) -> "ExperimentConfig":
@@ -153,6 +152,10 @@ class ExperimentConfig:
         if not 0.0 < self.leaky_slope < 1.0:
             raise ValidationError(
                 f"leaky_slope must lie in (0, 1), got {self.leaky_slope!r}", "leaky_slope")
+        if self.force_fully_connected:
+            raise ValidationError(
+                "force_fully_connected must be false: the unmasked hop loop is "
+                "variant=self_attention", "force_fully_connected")
         return self
 
 
@@ -286,14 +289,15 @@ def param_shapes(cfg: ExperimentConfig, vocab_size: int, num_tokens: int) -> dic
     """Name -> shape of every parameter ``init_model_params`` makes."""
     d = cfg.hidden_dim
     shapes = {"embed": (vocab_size, d), "pos": (num_tokens, d), "scorer": (2 * d,)}
-    for t in range(cfg.hops):
-        if cfg.variant in ("graph_attention", "self_attention"):
+    if cfg.variant in ("graph_attention", "self_attention"):
+        for t in range(cfg.hops):
             shapes.update({
                 f"fusion.{t}.proj": (2 * d, d),
                 f"fusion.{t}.attn_vec": (2 * d,),
                 f"fusion.{t}.mix": (2 * d, d),
             })
-        elif cfg.variant == "transformer":
+    elif cfg.variant == "transformer":
+        for t in range(cfg.hops):
             shapes[f"tf.{t}.wqkv"] = (d, 3 * d)
             for name in ("wo", "w1", "w2"):
                 shapes[f"tf.{t}.{name}"] = (d, d)
@@ -344,9 +348,9 @@ def model_forward(
         layers = _layers(params, "tf", cfg.hops)
         x, attention, body_cache = transformer_batch_forward(x, layers, cfg.num_heads, rows)
     elif cfg.variant != "none":
-        unmasked = cfg.variant == "self_attention" or cfg.force_fully_connected
+        adjacency = None if cfg.variant == "self_attention" else data.adjacency[idx]
         x, attention, body_cache = fusion_batch_forward(
-            x, None if unmasked else data.adjacency[idx], assignment,
+            x, adjacency, assignment,
             _layers(params, "fusion", cfg.hops), cfg.leaky_slope,
         )
     nodes, pool_c = pool_batch_forward(x, assignment)
@@ -514,7 +518,8 @@ class TrainedModel:
         ``CHECKPOINT_META``, whose config or spans are out of range, whose
         vocab repeats a token, or whose arrays do not fit that config or hold
         NaN or inf, raises ``ValidationError`` naming the file and the first
-        mismatch."""
+        mismatch. Nothing is sized from ``meta.config.hops`` or
+        ``meta.num_tokens`` before the arrays confirm it."""
         try:
             arrays, meta = load_manifest(path)
             meta = record(meta, CHECKPOINT_META, "meta")
@@ -526,24 +531,34 @@ class TrainedModel:
                     raise ValidationError(
                         f"meta.vocab[{i}] {token!r} repeats meta.vocab[{first[token]}]")
             cfg = ExperimentConfig(**meta["config"]).validate()
-            assignment = SpanAssignment(meta["spans"], meta["num_tokens"])
-            model = cls(cfg, arrays, meta["vocab"], assignment)
+            # each reasoning layer holds at least one array
+            if cfg.variant != "none" and cfg.hops > len(arrays):
+                raise ValidationError(
+                    f"meta.config.hops {cfg.hops} is more layers than the file's "
+                    f"{len(arrays)} arrays hold")
+            num_tokens = meta["num_tokens"]
+            if "pos" in arrays and arrays["pos"].shape[:1] != (num_tokens,):
+                raise ValidationError(
+                    f"meta.num_tokens {num_tokens} is not the row count of array 'pos', "
+                    f"of shape {arrays['pos'].shape}")
+            expected = param_shapes(cfg, len(meta["vocab"]), num_tokens)
+            for name in sorted(set(expected) | set(arrays)):
+                if name not in arrays:
+                    raise ValidationError(f"no array {name!r}, which {cfg.variant} needs")
+                if name not in expected:
+                    raise ValidationError(f"array {name!r} is not a {cfg.variant} parameter")
+                if arrays[name].shape != expected[name]:
+                    raise ValidationError(
+                        f"array {name!r} has shape {arrays[name].shape}, "
+                        f"{cfg.variant} expects {expected[name]}"
+                    )
+                if not np.isfinite(arrays[name]).all():
+                    raise ValidationError(f"array {name!r} holds NaN or inf")
+            # ``pos`` has ``num_tokens`` rows now, so the (num_tokens, N) averaging fits
+            assignment = SpanAssignment(meta["spans"], num_tokens)
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
-        expected = param_shapes(cfg, len(model.vocab), model.assignment.num_tokens)
-        for name in sorted(set(expected) | set(arrays)):
-            if name not in arrays:
-                raise ValidationError(f"{path}: no array {name!r}, which {cfg.variant} needs")
-            if name not in expected:
-                raise ValidationError(f"{path}: array {name!r} is not a {cfg.variant} parameter")
-            if arrays[name].shape != expected[name]:
-                raise ValidationError(
-                    f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                    f"{cfg.variant} expects {expected[name]}"
-                )
-            if not np.isfinite(arrays[name]).all():
-                raise ValidationError(f"{path}: array {name!r} holds NaN or inf")
-        return model
+        return cls(cfg, arrays, meta["vocab"], assignment)
 
 
 @dataclass

@@ -63,15 +63,14 @@ WITNESS_DIFF = """\
 +++ this tree
 @@ -1,5 +1,5 @@
  {"host": {"cpu_count": 2, "OPENBLAS_NUM_THREADS": null}}
--{"variant": "graph_attention", MODEL_KEYS "checkpoint_arrays_sha256": "cc"}
-+{"variant": "graph_attention", MODEL_KEYS "checkpoint_arrays_sha256": "dd"}
--{"variant": "transformer", MODEL_KEYS "checkpoint_arrays_sha256": "aa"}
-+{"variant": "transformer", MODEL_KEYS "checkpoint_arrays_sha256": "bb"}
+-{"variant": "graph_attention", "hidden_dim": 48, "checkpoint_arrays_sha256": "cc"}
++{"variant": "graph_attention", "hidden_dim": 48, "checkpoint_arrays_sha256": "dd"}
+-{"variant": "transformer", "hidden_dim": 48, "checkpoint_arrays_sha256": "aa"}
++{"variant": "transformer", "hidden_dim": 48, "checkpoint_arrays_sha256": "bb"}
  {"degeneracy": {"max_loop_deviation": "0x0.0p+0"}}
 -{"gradcheck": {"transformer": "0x1.0p-30"}}
 +{"gradcheck": {"transformer": "0x1.8p-30"}}
-""".replace("MODEL_KEYS", '"force_fully_connected": false, "hidden_dim": 48,').splitlines(
-    keepends=True)
+""".splitlines(keepends=True)
 
 
 def test_an_empty_witness_diff_moves_nothing():

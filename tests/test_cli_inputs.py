@@ -23,6 +23,7 @@ the ``--set`` and the key path.
 import copy
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,9 +157,9 @@ def _no_entity_spans(rows, labels):
     rows[0]["entity_spans"] = []
 
 
-def _config_file(tmp_path, text) -> str:
+def _config_file(tmp_path, raw: bytes) -> str:
     path = tmp_path / "run.cfg"
-    path.write_text(text)
+    path.write_bytes(raw)
     return str(path)
 
 
@@ -231,6 +232,13 @@ def _repeat_first_token(doc):
     doc["arrays"]["embed"] = encode_array(np.vstack([embed, embed[:1]]))
 
 
+def _as_none_with_hops(doc):
+    """Checkpoint edit: the graph_attention model as a ``none`` one, which
+    holds no hop arrays, whose config asks for 10**12 hops."""
+    doc["meta"]["config"].update(variant="none", hops=10**12)
+    doc["arrays"] = {k: v for k, v in doc["arrays"].items() if not k.startswith("fusion.")}
+
+
 def _last_span_past_the_tokens(doc):
     n = doc["meta"]["num_tokens"]
     doc["meta"]["spans"][-1] = [n, n + 2]
@@ -248,13 +256,12 @@ def _input_file(argv, name, text):
     return make
 
 
-def _nested_too_deeply(source):
-    """argv reading a ``source`` file whose one JSON value nests past the
-    parser's recursion limit."""
+def _source_file(source, edit):
+    """argv reading the base ``source`` file with its bytes passed through ``edit``."""
 
     def argv(tmp_path, base) -> list[str]:
         files = {**base[0], source: tmp_path / FILES[source]}
-        files[source].write_text("[" * 10_000 + "]" * 10_000 + "\n")
+        files[source].write_bytes(edit(base[0][source].read_bytes()))
         return _argv(source, files)
 
     return argv
@@ -400,7 +407,7 @@ CASES = {
     },
     "train test-count 0": (lambda tmp, base: [*TRAIN, "--test-count", "0"], 2, "--test-count 0"),
     "train config file sets a key twice": (
-        lambda tmp, base: [*TRAIN_ON, "--config", _config_file(tmp, "epochs = 1\nepochs = 2\n")],
+        lambda tmp, base: [*TRAIN_ON, "--config", _config_file(tmp, b"epochs = 1\nepochs = 2\n")],
         2, "run.cfg:2: epochs is set on an earlier line"),
     **{
         f"eval-density two more tokens than the {variant} model": (
@@ -413,7 +420,7 @@ CASES = {
         "--set hiden_dim=8: unknown config key hiden_dim (not a field of ExperimentConfig or "
         "SyntheticTaskConfig)"),
     "gen-synthetic config file sets a train key": (
-        lambda tmp, base: ["gen-synthetic", "--config", _config_file(tmp, "hidden_dim = 8\n")],
+        lambda tmp, base: ["gen-synthetic", "--config", _config_file(tmp, b"hidden_dim = 8\n")],
         2, "run.cfg:1: unknown config key hidden_dim (not a field of SyntheticTaskConfig)"),
     "train on a dataset sets a task key": (
         lambda tmp, base: [*TRAIN_ON, "--dataset", str(base[0]["dataset"]),
@@ -467,10 +474,40 @@ CASES = {
     },
     **{
         f"{source} nested too deeply": (
-            _nested_too_deeply(source), 2, f"{where}: JSON nested too deeply to read")
+            _source_file(source, lambda raw: b"[" * 10_000 + b"]" * 10_000 + b"\n"), 2,
+            f"{where}: JSON nested too deeply to read")
         for source, where in (("dataset", "data.jsonl:1"), ("labels", "labels.jsonl:1"),
                               ("trace", "traces.jsonl:1"), ("checkpoint", "model.json"))
     },
+    **{
+        f"{source} byte that is not UTF-8 on line 2": (
+            _source_file(source, lambda raw: raw.replace(b"\n", b"\n\xff", 1)), 2,
+            f"{where}: 'utf-8' codec can't decode byte 0xff in position")
+        for source, where in (("dataset", "data.jsonl:2"), ("labels", "labels.jsonl:2"),
+                              ("trace", "traces.jsonl:2"), ("checkpoint", "model.json"))
+    },
+    "train config file with a byte that is not UTF-8 on line 2": (
+        lambda tmp, base: [*TRAIN_ON, "--config", _config_file(tmp, b"epochs = 1\n\xff = 2\n")],
+        2, "run.cfg:2: 'utf-8' codec can't decode byte 0xff in position 0"),
+    "train force_fully_connected true": (
+        lambda tmp, base: [*TRAIN, "--set", "force_fully_connected=true"], 2,
+        "--set force_fully_connected=true: force_fully_connected must be false: the unmasked "
+        "hop loop is variant=self_attention"),
+    "eval-density checkpoint with force_fully_connected true": (
+        _checkpoint_with("graph_attention",
+                         _set_meta("config", "force_fully_connected", value=True)), 2,
+        "model_graph_attention_seed7.json: force_fully_connected must be false"),
+    "eval-density graph_attention checkpoint with 10**12 hops": (
+        _checkpoint_with("graph_attention", _set_meta("config", "hops", value=10**12)), 2,
+        "model_graph_attention_seed7.json: meta.config.hops 1000000000000 is more layers than "
+        "the file's 9 arrays hold"),
+    # a ``none`` model has no layers for its hops to size, so it loads as it is
+    "eval-density none checkpoint with 10**12 hops": (
+        _checkpoint_with("graph_attention", _as_none_with_hops), 0, ""),
+    "eval-density checkpoint with 10**12 tokens": (
+        _checkpoint_with("graph_attention", _set_meta("num_tokens", value=10**12)), 2,
+        "model_graph_attention_seed7.json: meta.num_tokens 1000000000000 is not the row count "
+        "of array 'pos'"),
 }
 
 
@@ -484,6 +521,18 @@ def test_bad_input_exits_as_tabled(tmp_path, capsys, base, case):
     assert "Traceback" not in err
     if code == 2:
         assert not out.exists()
+
+
+def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, base):
+    """The parameters' initialiser raises as Python does when memory runs
+    out, with no message, so nothing is allocated."""
+    monkeypatch.setattr("attnlab.train.init_model_params", mock.Mock(side_effect=MemoryError))
+    files, _ = base
+    code = main(["train", "--dataset", str(files["dataset"]), "--labels", str(files["labels"]),
+                 "--set", "hidden_dim=1000000000", "--test-count", "4",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and "error: MemoryError" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(
